@@ -18,9 +18,13 @@
 //! transforms:
 //!
 //! * [`WorkerPool`] — long-lived workers parked on channels. Job `j` of a
-//!   dispatch always runs on worker `j % size`, so the mapping from dice
-//!   columns to workers is stable across calls (the software analogue of
-//!   a pipeline's fixed column assignment).
+//!   [`WorkerPool::try_run`] dispatch always runs on worker `j % size`, so
+//!   the mapping from dice columns to workers is stable across calls (the
+//!   software analogue of a pipeline's fixed column assignment). Jobs
+//!   without that scratch affinity — one coil or one served request each —
+//!   go through [`WorkerPool::try_run_balanced`] instead, which starts at
+//!   the least-loaded worker so concurrent dispatchers spread over the
+//!   pool rather than queueing on worker 0.
 //! * [`ScratchArena`] — one arena per worker slot holding type-erased,
 //!   reusable buffers. A worker's accumulator column slab is allocated on
 //!   first use and then cycles: worker fills it, the caller merges it into
@@ -40,7 +44,7 @@ use jigsaw_telemetry as telemetry;
 use jigsaw_testkit::{cancel, faultpoint};
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -312,6 +316,13 @@ pub struct WorkerPool {
     busy_ns: Arc<Vec<AtomicU64>>,
     /// Per-worker job counts (same lifetime as `busy_ns`).
     job_counts: Arc<Vec<AtomicU64>>,
+    /// Per-worker jobs queued or running: the load that
+    /// [`Self::try_run_balanced`] picks its start worker by.
+    pending: Arc<Vec<AtomicUsize>>,
+    /// Per-arena resident scratch bytes, republished after every change
+    /// to an arena while its lock is held, so the scratch gauge never
+    /// waits on an arena a running job holds.
+    arena_bytes: Arc<Vec<AtomicUsize>>,
     /// Cached telemetry histogram handles (wired to the global registry;
     /// recording is gated on `telemetry::enabled()`).
     wait_hist: Arc<telemetry::Histogram>,
@@ -331,6 +342,7 @@ impl WorkerPool {
             Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
         let job_counts: Arc<Vec<AtomicU64>> =
             Arc::new((0..threads).map(|_| AtomicU64::new(0)).collect());
+        let counters = || Arc::new((0..threads).map(|_| AtomicUsize::new(0)).collect());
         let workers = (0..threads)
             .map(|wid| {
                 let (tx, rx): (Sender<Job>, Receiver<Job>) = channel();
@@ -362,6 +374,8 @@ impl WorkerPool {
             dispatches: AtomicU64::new(0),
             busy_ns,
             job_counts,
+            pending: counters(),
+            arena_bytes: counters(),
             wait_hist: telemetry::global().histogram("engine.job_wait_ns"),
             run_hist: telemetry::global().histogram("engine.job_run_ns"),
         }
@@ -408,10 +422,19 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Worker slot that job `j` of an `njobs`-way dispatch runs on.
+    /// Worker slot that job `j` of a [`Self::try_run`] dispatch runs on.
     #[inline]
     pub fn worker_for(&self, job: usize) -> usize {
         job % self.workers.len()
+    }
+
+    /// The worker with the fewest queued or running jobs, lowest index
+    /// first on ties — so back-to-back dispatches on an idle pool keep
+    /// reusing one worker's warm scratch.
+    fn least_loaded(&self) -> usize {
+        (0..self.workers.len())
+            .min_by_key(|&w| self.pending[w].load(Ordering::Relaxed))
+            .unwrap_or(0)
     }
 
     /// Run `njobs` invocations of `f(job_index, arena)` across the pool
@@ -437,6 +460,26 @@ impl WorkerPool {
     where
         F: Fn(usize, &mut ScratchArena) + Send + Sync + 'static,
     {
+        self.dispatch(njobs, 0, f)
+    }
+
+    /// Like [`Self::try_run`], for jobs with no `j % size` scratch
+    /// affinity: job `j` runs on worker `(s + j) % size`, where `s` is the
+    /// least-loaded worker at dispatch time. A job that wants to recycle
+    /// scratch parks it in the arena it was handed; [`Self::restore`]
+    /// would miss that arena.
+    pub(crate) fn try_run_balanced<F>(&self, njobs: usize, f: F) -> Result<(), JobFailure>
+    where
+        F: Fn(usize, &mut ScratchArena) + Send + Sync + 'static,
+    {
+        self.dispatch(njobs, self.least_loaded(), f)
+    }
+
+    /// Run job `j` of `njobs` on worker `(start + j) % size`.
+    fn dispatch<F>(&self, njobs: usize, start: usize, f: F) -> Result<(), JobFailure>
+    where
+        F: Fn(usize, &mut ScratchArena) + Send + Sync + 'static,
+    {
         if njobs == 0 {
             return Ok(());
         }
@@ -456,12 +499,15 @@ impl WorkerPool {
         let request_id = telemetry::current_request_id();
         let cancel_flag = cancel::current();
         for j in 0..njobs {
+            let wid = (start + j) % nworkers;
             let job_latch = Arc::clone(&latch);
             let f = Arc::clone(&f);
             let wait_hist = Arc::clone(&self.wait_hist);
             let run_hist = Arc::clone(&self.run_hist);
             let busy_ns = Arc::clone(&self.busy_ns);
             let job_counts = Arc::clone(&self.job_counts);
+            let pending = Arc::clone(&self.pending);
+            let arena_bytes = Arc::clone(&self.arena_bytes);
             let enqueued_ns = telemetry::now_ns();
             let cancel_flag = cancel_flag.clone();
             let job: Job = Box::new(move |arena| {
@@ -487,7 +533,6 @@ impl WorkerPool {
                 // Always-on utilization accounting (telemetry-independent);
                 // must land *before* the latch so callers observing the
                 // counters after `run` returns see every job.
-                let wid = j % nworkers;
                 busy_ns[wid].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 job_counts[wid].fetch_add(1, Ordering::Relaxed);
                 let failure = result.err().map(|payload| {
@@ -502,16 +547,20 @@ impl WorkerPool {
                         message: jigsaw_fft::exec::panic_message(&*payload),
                     }
                 });
+                arena_bytes[wid].store(arena.resident_bytes(), Ordering::Relaxed);
+                pending[wid].fetch_sub(1, Ordering::Relaxed);
                 job_latch.count_down(failure);
             });
-            if let Err(send_err) = self.workers[self.worker_for(j)].tx.send(job) {
+            self.pending[wid].fetch_add(1, Ordering::Relaxed);
+            if let Err(send_err) = self.workers[wid].tx.send(job) {
                 // The worker thread is gone (it cannot panic — jobs are
                 // contained — so this means the pool is shutting down).
                 // Account the undelivered job so the latch still resolves.
                 drop(send_err);
+                self.pending[wid].fetch_sub(1, Ordering::Relaxed);
                 latch.count_down(Some(JobFailure {
                     job: j,
-                    worker: self.worker_for(j),
+                    worker: wid,
                     message: "pool worker exited; job not delivered".to_string(),
                 }));
             }
@@ -529,28 +578,35 @@ impl WorkerPool {
         }
     }
 
-    /// Give a buffer back to the arena of the worker that ran `job`, so
-    /// the next dispatch's job on that slot reuses it.
+    /// Give a buffer back to the arena of the worker that ran `job` of a
+    /// [`Self::try_run`] dispatch, so the next dispatch's job on that slot
+    /// reuses it.
     pub fn restore<T: Send + 'static>(&self, job: usize, key: u64, buf: Vec<T>) {
-        let w = self.worker_for(job);
-        self.arenas[w]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .give_vec(key, buf);
+        self.with_arena(self.worker_for(job), |a| a.give_vec(key, buf));
     }
 
-    /// Total bytes parked across all arenas (instrumentation).
+    /// Run `f` on worker `w`'s arena under its lock, then republish the
+    /// arena's byte count for the lock-free gauge.
+    fn with_arena(&self, w: usize, f: impl FnOnce(&mut ScratchArena)) {
+        let mut arena = self.arenas[w].lock().unwrap_or_else(|e| e.into_inner());
+        f(&mut arena);
+        self.arena_bytes[w].store(arena.resident_bytes(), Ordering::Relaxed);
+    }
+
+    /// Total bytes parked across all arenas (instrumentation). Reads the
+    /// per-arena counters, never an arena lock, so it does not wait for
+    /// running jobs.
     pub fn resident_scratch_bytes(&self) -> usize {
-        self.arenas
+        self.arena_bytes
             .iter()
-            .map(|a| a.lock().unwrap_or_else(|e| e.into_inner()).resident_bytes())
+            .map(|b| b.load(Ordering::Relaxed))
             .sum()
     }
 
     /// Drop all cached scratch buffers in every arena.
     pub fn clear_scratch(&self) {
-        for a in self.arenas.iter() {
-            a.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        for w in 0..self.arenas.len() {
+            self.with_arena(w, ScratchArena::clear);
         }
     }
 }
@@ -645,10 +701,7 @@ impl jigsaw_fft::exec::Executor for WorkerPool {
         bytes: usize,
     ) {
         use jigsaw_fft::exec::BufferArena;
-        self.arenas[self.worker_for(job)]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .give_any(key, ty, buf, bytes);
+        self.with_arena(self.worker_for(job), |a| a.give_any(key, ty, buf, bytes));
     }
 }
 
@@ -1013,6 +1066,76 @@ mod tests {
             .take_any(12, std::any::TypeId::of::<Vec<u8>>())
             .is_some());
         assert_eq!(arena.resident_bytes(), 0);
+    }
+
+    /// Park one job on a pool worker until the returned sender fires.
+    /// Returns once the job is running, plus the dispatching thread.
+    fn park_one_job(
+        pool: &Arc<WorkerPool>,
+    ) -> (Sender<()>, std::thread::JoinHandle<Result<(), JobFailure>>) {
+        let (started_tx, started_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let p = Arc::clone(pool);
+        let handle = std::thread::spawn(move || {
+            p.try_run_balanced(1, move |_, _| {
+                started_tx.send(()).unwrap();
+                let _ = release_rx.lock().unwrap().recv();
+            })
+        });
+        started_rx.recv().expect("parked job starts");
+        (release_tx, handle)
+    }
+
+    #[test]
+    fn concurrent_single_job_dispatches_use_different_workers() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let (release, parked) = park_one_job(&pool);
+        // The second single-job dispatch must start at the idle worker:
+        // on the parked worker it would queue until the release below.
+        let (done_tx, done_rx) = channel();
+        let p = Arc::clone(&pool);
+        let second = std::thread::spawn(move || {
+            p.try_run_balanced(1, |_, _| {}).unwrap();
+            done_tx.send(()).unwrap();
+        });
+        let ran_alongside = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .is_ok();
+        release.send(()).unwrap();
+        parked.join().unwrap().unwrap();
+        second.join().unwrap();
+        assert!(
+            ran_alongside,
+            "second dispatch queued behind the parked job"
+        );
+        assert_eq!(pool.worker_job_counts(), vec![1, 1]);
+    }
+
+    #[test]
+    fn sequential_balanced_dispatches_stay_on_one_idle_worker() {
+        let pool = WorkerPool::new(2);
+        for _ in 0..4 {
+            pool.try_run_balanced(1, |_, _| {}).unwrap();
+        }
+        assert_eq!(pool.worker_job_counts(), vec![4, 0]);
+    }
+
+    #[test]
+    fn scratch_gauge_does_not_wait_for_running_jobs() {
+        let pool = Arc::new(WorkerPool::new(1));
+        pool.run(1, |_, arena| arena.give_vec(13, vec![0u8; 1024]));
+        // The parked job holds the only arena's lock until released.
+        let (release, parked) = park_one_job(&pool);
+        let (tx, rx) = channel();
+        let p = Arc::clone(&pool);
+        std::thread::spawn(move || tx.send(p.resident_scratch_bytes()).unwrap());
+        let bytes = rx.recv_timeout(std::time::Duration::from_secs(30));
+        release.send(()).unwrap();
+        parked.join().unwrap().unwrap();
+        assert_eq!(bytes, Ok(1024), "gauge blocked on a busy arena");
+        pool.clear_scratch();
+        assert_eq!(pool.resident_scratch_bytes(), 0);
     }
 
     #[test]

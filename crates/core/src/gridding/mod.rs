@@ -96,6 +96,18 @@ pub fn validate_batch<T: Float, const D: usize>(
     Ok(())
 }
 
+/// One dimension of a sample's interpolation window, as the scatter and
+/// gather kernels read it. Implemented by the materialized [`DimWindow`]
+/// and by the planned paths' [`PhasedWindow`], which derives both values
+/// on the fly; the kernels run identical floating-point operations in
+/// identical order for either.
+pub trait Window {
+    /// Grid index of window point `j` (already torus-wrapped).
+    fn index(&self, j: usize) -> usize;
+    /// Kernel weight of window point `j`.
+    fn weight(&self, j: usize) -> f64;
+}
+
 /// Per-dimension window of one sample: grid indices and kernel weights.
 #[derive(Clone, Copy, Debug)]
 pub struct DimWindow {
@@ -111,6 +123,116 @@ impl Default for DimWindow {
             idx: [0; MAX_W],
             weight: [0.0; MAX_W],
         }
+    }
+}
+
+impl Window for DimWindow {
+    #[inline(always)]
+    fn index(&self, j: usize) -> usize {
+        self.idx[j] as usize
+    }
+    #[inline(always)]
+    fn weight(&self, j: usize) -> f64 {
+        self.weight[j]
+    }
+}
+
+/// One sample's select-unit output in one dimension (§III, Fig. 4): the
+/// window base `b` and the phase `φ` in half-LUT units. This is all a
+/// planned trajectory stores per sample and dimension — 8 bytes; the
+/// window's indices and weights are expanded from it by a
+/// [`PhaseTable`] as the planned scatter and gather run.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PlannedWindow {
+    /// Window base `b = ⌊u + W/2⌋ mod G`.
+    pub(crate) base: u32,
+    /// Phase `phi2 = 2·φ·L ∈ [0, 2L)`.
+    pub(crate) phi2: u32,
+}
+
+impl PlannedWindow {
+    /// Quantize and decompose one mapped coordinate `u` (oversampled-grid
+    /// units) — the same decomposition [`sample_windows`] performs.
+    #[inline]
+    pub(crate) fn new(dec: &Decomposer, u: f64) -> Self {
+        let d = dec.decompose(dec.quantize(u));
+        Self {
+            base: d.base,
+            phi2: d.phi2,
+        }
+    }
+}
+
+/// The kernel weights of every window shape a grid configuration can
+/// produce: row `phi2` holds `lut.lookup(lut_index(j, phi2))` for
+/// `j ∈ [0, W)`. The table has `2L × W` entries (3 KiB at the defaults
+/// `L = 32`, `W = 6`), the software analogue of the select unit reading
+/// its small weight LUT instead of storing weights per sample.
+#[derive(Clone, Debug)]
+pub(crate) struct PhaseTable {
+    grid: usize,
+    width: usize,
+    weights: Box<[f64]>,
+}
+
+impl PhaseTable {
+    /// Tabulate the window weights of every phase for `p`.
+    pub(crate) fn new(p: &GridParams, lut: &KernelLut) -> Self {
+        let dec = Decomposer::new(p);
+        let w = p.width as u32;
+        let weights = (0..2 * p.table_oversampling as u32)
+            .flat_map(|phi2| (0..w).map(move |j| lut.lookup(dec.lut_index(j, phi2))))
+            .collect();
+        Self {
+            grid: p.grid,
+            width: p.width,
+            weights,
+        }
+    }
+
+    /// Expand a planned window into its index/weight view.
+    #[inline(always)]
+    fn window(&self, pw: PlannedWindow) -> PhasedWindow<'_> {
+        let row = pw.phi2 as usize * self.width;
+        PhasedWindow {
+            base: pw.base as usize,
+            grid: self.grid,
+            weights: &self.weights[row..row + self.width],
+        }
+    }
+
+    /// Expand every dimension of one planned sample.
+    #[inline(always)]
+    pub(crate) fn windows<const D: usize>(
+        &self,
+        sample: &[PlannedWindow; D],
+    ) -> [PhasedWindow<'_>; D] {
+        sample.map(|pw| self.window(pw))
+    }
+}
+
+/// A window expanded from a [`PlannedWindow`]: point `j` sits at grid
+/// index `b − j` on the torus (one conditional add) and carries weight
+/// `j` of its phase row.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PhasedWindow<'a> {
+    base: usize,
+    grid: usize,
+    weights: &'a [f64],
+}
+
+impl Window for PhasedWindow<'_> {
+    #[inline(always)]
+    fn index(&self, j: usize) -> usize {
+        if j <= self.base {
+            self.base - j
+        } else {
+            self.base + self.grid - j
+        }
+    }
+    #[inline(always)]
+    fn weight(&self, j: usize) -> f64 {
+        self.weights[j]
     }
 }
 
@@ -146,41 +268,41 @@ pub fn sample_windows<const D: usize>(
 /// Scatter one sample into a row-major grid given its per-dim windows.
 /// Specialized inner loops for the 2-D and 3-D cases the paper targets.
 #[inline]
-pub fn scatter_rowmajor<T: Float, const D: usize>(
+pub fn scatter_rowmajor<T: Float, const D: usize, Wd: Window>(
     g: usize,
     w: usize,
-    wins: &[DimWindow; D],
+    wins: &[Wd; D],
     value: Complex<T>,
     out: &mut [Complex<T>],
 ) {
     match D {
         1 => {
             for j in 0..w {
-                let wt = T::from_f64(wins[0].weight[j]);
-                out[wins[0].idx[j] as usize] += value.scale(wt);
+                let wt = T::from_f64(wins[0].weight(j));
+                out[wins[0].index(j)] += value.scale(wt);
             }
         }
         2 => {
             // Dimension 0 is the row (slow axis), dimension 1 the column.
             for jy in 0..w {
-                let row = wins[0].idx[jy] as usize * g;
-                let wy = wins[0].weight[jy];
+                let row = wins[0].index(jy) * g;
+                let wy = wins[0].weight(jy);
                 for jx in 0..w {
-                    let wt = T::from_f64(wy * wins[1].weight[jx]);
-                    out[row + wins[1].idx[jx] as usize] += value.scale(wt);
+                    let wt = T::from_f64(wy * wins[1].weight(jx));
+                    out[row + wins[1].index(jx)] += value.scale(wt);
                 }
             }
         }
         3 => {
             for jz in 0..w {
-                let plane = wins[0].idx[jz] as usize * g * g;
-                let wz = wins[0].weight[jz];
+                let plane = wins[0].index(jz) * g * g;
+                let wz = wins[0].weight(jz);
                 for jy in 0..w {
-                    let row = plane + wins[1].idx[jy] as usize * g;
-                    let wyz = wz * wins[1].weight[jy];
+                    let row = plane + wins[1].index(jy) * g;
+                    let wyz = wz * wins[1].weight(jy);
                     for jx in 0..w {
-                        let wt = T::from_f64(wyz * wins[2].weight[jx]);
-                        out[row + wins[2].idx[jx] as usize] += value.scale(wt);
+                        let wt = T::from_f64(wyz * wins[2].weight(jx));
+                        out[row + wins[2].index(jx)] += value.scale(wt);
                     }
                 }
             }
@@ -192,8 +314,8 @@ pub fn scatter_rowmajor<T: Float, const D: usize>(
                 let mut idx = 0usize;
                 let mut wt = 1.0;
                 for d in 0..D {
-                    idx = idx * g + wins[d].idx[j[d]] as usize;
-                    wt *= wins[d].weight[j[d]];
+                    idx = idx * g + wins[d].index(j[d]);
+                    wt *= wins[d].weight(j[d]);
                 }
                 out[idx] += value.scale(T::from_f64(wt));
                 let mut d = D;
@@ -348,6 +470,40 @@ mod tests {
             fast.iter().map(|z| z.re.to_bits()).collect::<Vec<_>>(),
             slow.iter().map(|z| z.re.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn phase_table_is_3_kib_at_the_defaults() {
+        let p = crate::config::NufftConfig::with_n(256).grid_params();
+        let table = PhaseTable::new(&p, &KernelLut::from_params(&p));
+        assert_eq!(table.weights.len(), 2 * 32 * 6);
+        assert_eq!(std::mem::size_of_val(&*table.weights), 3 * 1024);
+    }
+
+    #[test]
+    fn phased_windows_equal_materialized_windows() {
+        for (width, l) in [(6, 32), (5, 1), (8, 4)] {
+            let mut p = small_params();
+            p.width = width;
+            p.table_oversampling = l;
+            let dec = crate::decomp::Decomposer::new(&p);
+            let lut = KernelLut::from_params(&p);
+            let table = PhaseTable::new(&p, &lut);
+            let (coords, _) = sample_batch::<2>(200, 64.0, 5);
+            for c in &coords {
+                let (wins, _) = sample_windows(&dec, &lut, c);
+                let planned = [
+                    PlannedWindow::new(&dec, c[0]),
+                    PlannedWindow::new(&dec, c[1]),
+                ];
+                for (mat, phased) in wins.iter().zip(table.windows(&planned)) {
+                    for j in 0..width {
+                        assert_eq!(mat.index(j), phased.index(j), "W={width} L={l} at {c:?}");
+                        assert_eq!(mat.weight[j].to_bits(), phased.weight(j).to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::config::GridParams;
 use crate::decomp::Decomposer;
-use crate::gridding::{sample_windows, worker_threads, DimWindow, MAX_W};
+use crate::gridding::{sample_windows, worker_threads, Window, MAX_W};
 use crate::lut::KernelLut;
 use crate::{Error, Result};
 use jigsaw_num::{Complex, Float};
@@ -31,28 +31,27 @@ fn gather_sample<T: Float, const D: usize>(
     gather_from_windows(grid, g, w, &wins)
 }
 
-/// Gather one sample's value from the grid given *precomputed* per-dim
-/// windows (see [`crate::nufft::PlannedTrajectory`]): the kernel-weighted
-/// sum of the `W^d` window points, accumulated in exactly the order the
-/// on-the-fly path uses, so planned and unplanned gathers are bitwise
-/// identical.
+/// Gather one sample's value from the grid given its per-dim windows
+/// (materialized, or expanded from a [`crate::nufft::PlannedTrajectory`]):
+/// the kernel-weighted sum of the `W^d` window points, accumulated in
+/// exactly the order the on-the-fly path uses, so planned and unplanned
+/// gathers are bitwise identical.
 #[inline]
-pub fn gather_from_windows<T: Float, const D: usize>(
+pub fn gather_from_windows<T: Float, const D: usize, Wd: Window>(
     grid: &[Complex<T>],
     g: usize,
     w: usize,
-    wins: &[DimWindow; D],
+    wins: &[Wd; D],
 ) -> Complex<T> {
     match D {
         2 => {
             let mut acc = Complex::<T>::zeroed();
             for jy in 0..w {
-                let row = wins[0].idx[jy] as usize * g;
-                let wy = wins[0].weight[jy];
+                let row = wins[0].index(jy) * g;
+                let wy = wins[0].weight(jy);
                 let mut rowacc = Complex::<T>::zeroed();
                 for jx in 0..w {
-                    rowacc +=
-                        grid[row + wins[1].idx[jx] as usize].scale(T::from_f64(wins[1].weight[jx]));
+                    rowacc += grid[row + wins[1].index(jx)].scale(T::from_f64(wins[1].weight(jx)));
                 }
                 acc += rowacc.scale(T::from_f64(wy));
             }
@@ -61,14 +60,14 @@ pub fn gather_from_windows<T: Float, const D: usize>(
         3 => {
             let mut acc = Complex::<T>::zeroed();
             for jz in 0..w {
-                let plane = wins[0].idx[jz] as usize * g * g;
-                let wz = wins[0].weight[jz];
+                let plane = wins[0].index(jz) * g * g;
+                let wz = wins[0].weight(jz);
                 for jy in 0..w {
-                    let row = plane + wins[1].idx[jy] as usize * g;
-                    let wyz = wz * wins[1].weight[jy];
+                    let row = plane + wins[1].index(jy) * g;
+                    let wyz = wz * wins[1].weight(jy);
                     for jx in 0..w {
-                        acc += grid[row + wins[2].idx[jx] as usize]
-                            .scale(T::from_f64(wyz * wins[2].weight[jx]));
+                        acc += grid[row + wins[2].index(jx)]
+                            .scale(T::from_f64(wyz * wins[2].weight(jx)));
                     }
                 }
             }
@@ -81,8 +80,8 @@ pub fn gather_from_windows<T: Float, const D: usize>(
                 let mut idx = 0usize;
                 let mut wt = 1.0;
                 for d in 0..D {
-                    idx = idx * g + wins[d].idx[j[d]] as usize;
-                    wt *= wins[d].weight[j[d]];
+                    idx = idx * g + wins[d].index(j[d]);
+                    wt *= wins[d].weight(j[d]);
                 }
                 acc += grid[idx].scale(T::from_f64(wt));
                 let mut d = D;

@@ -10,11 +10,13 @@
 //! For multi-coil MRI (§II-A: "each of the C receive coils acquires the
 //! same k-space trajectory") the plan additionally supports *planned*
 //! batched execution: [`NufftPlan::plan_trajectory`] performs the
-//! per-sample window decomposition (the div/mod/LUT work of §III) once,
-//! and [`NufftPlan::adjoint_batch_planned`] /
-//! [`NufftPlan::forward_batch_planned`] stream every coil through the
-//! cached windows on the persistent [`crate::engine::WorkerPool`], one
-//! coil per pooled job with an arena-recycled grid buffer each.
+//! per-sample select-unit decomposition (the div/mod work of §III) once,
+//! keeping only each window's base and phase, and
+//! [`NufftPlan::adjoint_batch_planned`] /
+//! [`NufftPlan::forward_batch_planned`] stream every coil through those
+//! windows — expanded on the fly from the plan's phase table — on the
+//! persistent [`crate::engine::WorkerPool`], one coil per pooled job with
+//! an arena-recycled grid buffer each.
 //!
 //! Conventions (`ν` in cycles, image indices `k ∈ [−N/2, N/2)^d`):
 //!
@@ -26,7 +28,7 @@ use crate::config::{GridParams, NufftConfig};
 use crate::decomp::Decomposer;
 use crate::engine::{keys, WorkerPool};
 use crate::gridding::slice_dice::CANCEL_CHECK_MASK;
-use crate::gridding::{sample_windows, scatter_rowmajor, DimWindow, Gridder};
+use crate::gridding::{scatter_rowmajor, Gridder, PhaseTable, PlannedWindow};
 use crate::interp::{self, gather_from_windows};
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
@@ -93,34 +95,30 @@ pub struct ForwardOutput<T> {
 /// A trajectory whose per-sample window decomposition has been computed
 /// once and cached for reuse across coils/frames.
 ///
-/// Produced by [`NufftPlan::plan_trajectory`]. Holds the mapped
-/// (oversampled-grid-unit) coordinates and, for every sample, the `D`
-/// per-dimension index/weight windows that both the adjoint scatter and
-/// the forward gather consume. Sharing is `Arc`-based, so cloning the
-/// trajectory (or capturing it in pooled jobs) is `O(1)`.
+/// Produced by [`NufftPlan::plan_trajectory`]. For every sample and
+/// dimension it keeps only the select unit's output, the window base and
+/// phase ([`PlannedWindow`], 8 bytes); the adjoint scatter and the
+/// forward gather expand each window's indices and weights from the
+/// plan's [`PhaseTable`] as they go. Sharing is `Arc`-based, so cloning
+/// the trajectory (or capturing it in pooled jobs) is `O(1)`.
 #[derive(Debug, Clone)]
 pub struct PlannedTrajectory<const D: usize> {
-    mapped: Arc<[[f64; D]]>,
-    windows: Arc<[[DimWindow; D]]>,
+    windows: Arc<[[PlannedWindow; D]]>,
     grid: usize,
     width: usize,
+    table_oversampling: usize,
     plan_seconds: f64,
 }
 
 impl<const D: usize> PlannedTrajectory<D> {
     /// Number of planned samples.
     pub fn len(&self) -> usize {
-        self.mapped.len()
+        self.windows.len()
     }
 
     /// Whether the trajectory is empty.
     pub fn is_empty(&self) -> bool {
-        self.mapped.is_empty()
-    }
-
-    /// Mapped coordinates in oversampled-grid units (`u = (ν mod 1)·G`).
-    pub fn mapped_coords(&self) -> &[[f64; D]] {
-        &self.mapped
+        self.windows.is_empty()
     }
 
     /// Seconds spent planning (coordinate mapping + window decomposition)
@@ -157,6 +155,7 @@ struct PlanInner<T, const D: usize> {
     cfg: NufftConfig,
     params: GridParams,
     lut: KernelLut,
+    phase: PhaseTable,
     apod: Apodization,
     fft: FftNd<T>,
 }
@@ -374,6 +373,89 @@ impl<T: Float, const D: usize> PlanInner<T, D> {
         Ok(image)
     }
 
+    /// One coil of the planned adjoint: scatter every planned sample into
+    /// the zeroed `grid`, expanding its windows from the phase table, then
+    /// FFT and de-apodize. Shared by the pooled job and the serial
+    /// fallback. Polls cancellation once per chunk of samples (see
+    /// [`CANCEL_CHECK_MASK`]) and reports a Budget error instead of an
+    /// image when cancelled.
+    fn adjoint_planned(
+        self: &Arc<Self>,
+        c: usize,
+        windows: &[[PlannedWindow; D]],
+        values: &[Complex<T>],
+        grid: &mut [Complex<T>],
+    ) -> Result<AdjointOutput<T>> {
+        let m = windows.len();
+        let _coil_span = telemetry::span!("nufft.coil_adjoint", { coil: c, m: m });
+        let (g, w) = (self.params.grid, self.params.width);
+        let t1 = Instant::now();
+        for (i, (sample, &v)) in windows.iter().zip(values).enumerate() {
+            if i & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
+                return Err(Error::Budget(format!("coil {c} cancelled mid-gridding")));
+            }
+            scatter_rowmajor(g, w, &self.phase.windows(sample), v, grid);
+        }
+        let interp_seconds = t1.elapsed().as_secs_f64();
+        let (image, mut timings) = self.finish_adjoint(grid)?;
+        timings.interp_seconds = interp_seconds;
+        Ok(AdjointOutput {
+            image,
+            timings,
+            grid_stats: GridStats {
+                samples: m,
+                samples_processed: m,
+                boundary_checks: 0,
+                kernel_accumulations: (m as u64) * (w as u64).pow(D as u32),
+                presort_seconds: 0.0,
+                gridding_seconds: interp_seconds,
+                fft_seconds: timings.fft_seconds,
+                apod_seconds: timings.apod_seconds,
+            },
+        })
+    }
+
+    /// One image of the planned forward: embed + FFT into the zeroed
+    /// `grid` (serially — this runs inside a pooled job), then gather
+    /// every planned sample. Shared by the pooled job and the serial
+    /// fallback; cancellation is polled like [`Self::adjoint_planned`].
+    fn forward_planned(
+        &self,
+        j: usize,
+        windows: &[[PlannedWindow; D]],
+        image: &[Complex<T>],
+        grid: &mut [Complex<T>],
+    ) -> Result<ForwardOutput<T>> {
+        let _img_span = telemetry::span!("nufft.coil_forward", { image: j });
+        let (g, w) = (self.params.grid, self.params.width);
+        let t0 = Instant::now();
+        self.embed_apodized(image, grid);
+        let apod_seconds = t0.elapsed().as_secs_f64();
+        let t1 = Instant::now();
+        {
+            let _fft_span = telemetry::span!("fft.process", { points: grid.len() });
+            self.fft.process(grid, Direction::Forward);
+        }
+        let fft_seconds = t1.elapsed().as_secs_f64();
+        let t2 = Instant::now();
+        let mut samples = Vec::with_capacity(windows.len());
+        for (i, sample) in windows.iter().enumerate() {
+            if i & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
+                return Err(Error::Budget(format!("image {j} cancelled mid-gather")));
+            }
+            samples.push(gather_from_windows(grid, g, w, &self.phase.windows(sample)));
+        }
+        Ok(ForwardOutput {
+            samples,
+            timings: StageTimings {
+                prep_seconds: 0.0,
+                interp_seconds: t2.elapsed().as_secs_f64(),
+                fft_seconds,
+                apod_seconds,
+            },
+        })
+    }
+
     /// The adjoint NuFFT's post-gridding stages: uniform FFT over an
     /// already-gridded oversampled buffer, then extraction and
     /// de-apodization. `grid` is consumed as scratch.
@@ -434,6 +516,27 @@ impl<T: Float, const D: usize> PlanInner<T, D> {
     }
 }
 
+/// Receive the results of an `njobs`-job pooled batch (tagged with their
+/// job index) and return them in job order; the first failed job's error
+/// wins.
+fn collect_jobs<R>(
+    rx: std::sync::mpsc::Receiver<(usize, Result<R>)>,
+    njobs: usize,
+    what: &str,
+) -> Result<Vec<R>> {
+    let mut out: Vec<Option<R>> = (0..njobs).map(|_| None).collect();
+    for _ in 0..njobs {
+        let (j, result) = rx
+            .recv()
+            .map_err(|_| Error::Execution(format!("{what} job result channel closed")))?;
+        out[j] = Some(result?);
+    }
+    out.into_iter()
+        .enumerate()
+        .map(|(j, r)| r.ok_or_else(|| Error::Execution(format!("{what} job {j} never reported"))))
+        .collect()
+}
+
 /// A planned NuFFT for a fixed configuration and dimensionality.
 ///
 /// ```
@@ -492,6 +595,7 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         }
         let params = cfg.grid_params();
         let lut = KernelLut::from_params(&params);
+        let phase = PhaseTable::new(&params, &lut);
         let apod = Apodization::new(&cfg);
         let fft = FftNd::new(&[params.grid; D]);
         Ok(Self {
@@ -499,6 +603,7 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
                 cfg,
                 params,
                 lut,
+                phase,
                 apod,
                 fft,
             }),
@@ -660,54 +765,66 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
 
     /// Precompute the per-sample window decomposition for a trajectory.
     ///
-    /// This runs the quantize → div/mod-`T` decompose → LUT-lookup stage
-    /// (§III) exactly once per sample; the result can then drive any
-    /// number of [`Self::adjoint_batch_planned`] /
-    /// [`Self::forward_batch_planned`] calls without repeating that work.
-    /// Scatter via the cached windows visits grid points in the same
-    /// order as [`crate::gridding::SerialGridder`], so planned outputs
-    /// are bitwise identical to unplanned serial ones.
+    /// This runs the map → quantize → div/mod decompose stage (§III)
+    /// exactly once per sample and keeps only each window's base and
+    /// phase; the result can then drive any number of
+    /// [`Self::adjoint_batch_planned`] / [`Self::forward_batch_planned`]
+    /// calls without repeating that work. The planned scatter expands
+    /// windows from the plan's phase table and visits grid points in the
+    /// same order as [`crate::gridding::SerialGridder`], so planned
+    /// outputs are bitwise identical to unplanned serial ones.
     pub fn plan_trajectory(&self, coords: &[[f64; D]]) -> Result<PlannedTrajectory<D>> {
         Self::check_finite(coords)?;
         let _span = telemetry::span!("nufft.plan_trajectory", { dim: D, m: coords.len() });
         let t0 = Instant::now();
-        let mapped = self.inner.map_coords(coords);
-        let dec = Decomposer::new(&self.inner.params);
-        let windows: Vec<[DimWindow; D]> = mapped
+        let p = &self.inner.params;
+        let g = p.grid as f64;
+        let dec = Decomposer::new(p);
+        // The mapping of `map_coords`, fused so no mapped copy is kept.
+        let windows = coords
             .iter()
-            .map(|c| sample_windows(&dec, &self.inner.lut, c).0)
+            .map(|c| std::array::from_fn(|d| PlannedWindow::new(&dec, c[d].rem_euclid(1.0) * g)))
             .collect();
-        let plan_seconds = t0.elapsed().as_secs_f64();
         Ok(PlannedTrajectory {
-            mapped: mapped.into(),
-            windows: windows.into(),
-            grid: self.inner.params.grid,
-            width: self.inner.params.width,
-            plan_seconds,
+            windows,
+            grid: p.grid,
+            width: p.width,
+            table_oversampling: p.table_oversampling,
+            plan_seconds: t0.elapsed().as_secs_f64(),
         })
     }
 
     /// Check a planned trajectory was built against this plan's geometry.
     fn check_traj(&self, traj: &PlannedTrajectory<D>) -> Result<()> {
-        if traj.grid != self.inner.params.grid || traj.width != self.inner.params.width {
+        let p = &self.inner.params;
+        if (traj.grid, traj.width, traj.table_oversampling)
+            != (p.grid, p.width, p.table_oversampling)
+        {
             return Err(Error::Config(format!(
-                "planned trajectory (G = {}, W = {}) does not match plan (G = {}, W = {})",
-                traj.grid, traj.width, self.inner.params.grid, self.inner.params.width
+                "planned trajectory (G = {}, W = {}, L = {}) does not match plan \
+                 (G = {}, W = {}, L = {})",
+                traj.grid,
+                traj.width,
+                traj.table_oversampling,
+                p.grid,
+                p.width,
+                p.table_oversampling
             )));
         }
         Ok(())
     }
 
     /// Batched adjoint NuFFT over a planned trajectory: every coil's
-    /// samples stream through the cached window decomposition, one coil
-    /// per job on the persistent [`WorkerPool`], each scattering into an
-    /// arena-recycled grid buffer and finishing (FFT + de-apodization)
-    /// inside its worker.
+    /// samples stream through the planned windows, one coil per job on
+    /// the persistent [`WorkerPool`] (started at its least-loaded worker),
+    /// each scattering into a grid buffer recycled through its worker's
+    /// arena and finishing (FFT + de-apodization) inside that worker.
     ///
     /// Each coil's image is bitwise identical to
     /// `self.adjoint(coords, coil, &SerialGridder)` because the scatter
-    /// consumes the cached windows in sample order. `timings.prep_seconds`
-    /// is zero here — the mapping/decomposition cost lives in
+    /// consumes the planned windows in sample order with the same
+    /// weights. `timings.prep_seconds` is zero here — the
+    /// mapping/decomposition cost lives in
     /// [`PlannedTrajectory::plan_seconds`], paid once.
     pub fn adjoint_batch_planned(
         &self,
@@ -727,10 +844,7 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         if batches.is_empty() {
             return Ok(Vec::new());
         }
-        let g = self.inner.params.grid;
-        let w = self.inner.params.width;
-        let npoints = g.pow(D as u32);
-        let kernel_accums = (m as u64) * (w as u64).pow(D as u32);
+        let npoints = self.inner.params.grid.pow(D as u32);
         let njobs = batches.len();
 
         let _span = telemetry::span!("nufft.adjoint_batch_planned", {
@@ -738,36 +852,16 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
             m: m,
             coils: njobs
         });
-        let pool = WorkerPool::global();
         let inner = Arc::clone(&self.inner);
         let windows = Arc::clone(&traj.windows);
         let coils: Vec<Arc<[Complex<T>]>> = batches.iter().map(|b| Arc::from(*b)).collect();
         let (tx, rx) = channel();
-        let run = pool.try_run(njobs, move |c, arena| {
-            let _coil_span = telemetry::span!("nufft.coil_adjoint", { coil: c, m: m });
+        let run = WorkerPool::global().try_run_balanced(njobs, move |c, arena| {
             faultpoint!(crate::fault::NUFFT_COIL);
-            let values = &coils[c];
             let mut grid = arena.take_vec(keys::COIL_GRID, npoints, Complex::<T>::zeroed());
-            let t1 = Instant::now();
-            let mut cancelled_early = false;
-            for (i, (wins, &v)) in windows.iter().zip(values.iter()).enumerate() {
-                if i & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
-                    // Cooperative cancellation: stop scattering mid-coil
-                    // and skip the FFT/de-apodization entirely. The coil
-                    // reports a Budget error instead of a result; the
-                    // partial grid is recycled like any other buffer.
-                    cancelled_early = true;
-                    break;
-                }
-                scatter_rowmajor(g, w, wins, v, &mut grid);
-            }
-            let interp_seconds = t1.elapsed().as_secs_f64();
-            let finished = if cancelled_early {
-                Err(Error::Budget(format!("coil {c} cancelled mid-gridding")))
-            } else {
-                inner.finish_adjoint(&mut grid)
-            };
-            let _ = tx.send((c, grid, interp_seconds, finished));
+            let out = inner.adjoint_planned(c, &windows, &coils[c], &mut grid);
+            arena.give_vec(keys::COIL_GRID, grid);
+            let _ = tx.send((c, out));
         });
         if let Err(failure) = run {
             if !crate::engine::serial_fallback_enabled() {
@@ -775,93 +869,41 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
             }
             // A coil job panicked (contained by the pool, which stays
             // alive; the poisoned worker's scratch was discarded). Coil
-            // outputs are independent and the scatter consumes the cached
-            // windows in sample order, so the serial recompute below is
-            // bitwise identical to an unfaulted pooled run.
+            // outputs are independent and the scatter consumes the
+            // planned windows in sample order, so the serial recompute
+            // below is bitwise identical to an unfaulted pooled run.
             crate::engine::note_serial_fallback("nufft.adjoint_batch_planned");
             drop(rx);
             return self.adjoint_batch_planned_serial(traj, batches);
         }
-
-        let mut out: Vec<Option<AdjointOutput<T>>> = (0..njobs).map(|_| None).collect();
-        for _ in 0..njobs {
-            let (c, grid, interp_seconds, finished) = rx.recv().map_err(|_| {
-                Error::Execution("planned adjoint job result channel closed".into())
-            })?;
-            pool.restore(c, keys::COIL_GRID, grid);
-            let (image, mut timings) = finished?;
-            timings.interp_seconds = interp_seconds;
-            out[c] = Some(AdjointOutput {
-                image,
-                timings,
-                grid_stats: GridStats {
-                    samples: m,
-                    samples_processed: m,
-                    boundary_checks: 0,
-                    kernel_accumulations: kernel_accums,
-                    presort_seconds: 0.0,
-                    gridding_seconds: interp_seconds,
-                    fft_seconds: timings.fft_seconds,
-                    apod_seconds: timings.apod_seconds,
-                },
-            });
-        }
-        out.into_iter()
-            .enumerate()
-            .map(|(c, r)| {
-                r.ok_or_else(|| Error::Execution(format!("coil job {c} never reported a result")))
-            })
-            .collect()
+        collect_jobs(rx, njobs, "planned adjoint")
     }
 
     /// Single-threaded recompute of [`Self::adjoint_batch_planned`] — the
-    /// graceful-degradation path after a pooled coil job fails. Bitwise
-    /// identical to the pooled path: the scatter consumes the cached
-    /// windows in sample order, and every post-gridding stage is bitwise
-    /// invariant across executors.
+    /// graceful-degradation path after a pooled coil job fails. Runs the
+    /// pooled job body coil by coil, and every post-gridding stage is
+    /// bitwise invariant across executors, so the output is identical.
     fn adjoint_batch_planned_serial(
         &self,
         traj: &PlannedTrajectory<D>,
         batches: &[&[Complex<T>]],
     ) -> Result<Vec<AdjointOutput<T>>> {
-        let g = self.inner.params.grid;
-        let w = self.inner.params.width;
-        let npoints = g.pow(D as u32);
-        let m = traj.len();
-        let kernel_accums = (m as u64) * (w as u64).pow(D as u32);
-        let mut grid = vec![Complex::<T>::zeroed(); npoints];
-        let mut out = Vec::with_capacity(batches.len());
-        for (c, values) in batches.iter().enumerate() {
-            let _coil_span = telemetry::span!("nufft.coil_adjoint", { coil: c, m: m });
-            grid.fill(Complex::zeroed());
-            let t1 = Instant::now();
-            for (wins, &v) in traj.windows.iter().zip(values.iter()) {
-                scatter_rowmajor(g, w, wins, v, &mut grid);
-            }
-            let interp_seconds = t1.elapsed().as_secs_f64();
-            let (image, mut timings) = self.inner.finish_adjoint(&mut grid)?;
-            timings.interp_seconds = interp_seconds;
-            out.push(AdjointOutput {
-                image,
-                timings,
-                grid_stats: GridStats {
-                    samples: m,
-                    samples_processed: m,
-                    boundary_checks: 0,
-                    kernel_accumulations: kernel_accums,
-                    presort_seconds: 0.0,
-                    gridding_seconds: interp_seconds,
-                    fft_seconds: timings.fft_seconds,
-                    apod_seconds: timings.apod_seconds,
-                },
-            });
-        }
-        Ok(out)
+        let mut grid = vec![Complex::<T>::zeroed(); self.inner.params.grid.pow(D as u32)];
+        batches
+            .iter()
+            .enumerate()
+            .map(|(c, values)| {
+                grid.fill(Complex::zeroed());
+                self.inner
+                    .adjoint_planned(c, &traj.windows, values, &mut grid)
+            })
+            .collect()
     }
 
     /// Batched forward NuFFT over a planned trajectory: one image per
-    /// pooled job, each embedding + FFT-ing into an arena-recycled grid
-    /// and gathering every sample via the cached windows.
+    /// pooled job (started at the least-loaded worker), each embedding +
+    /// FFT-ing into an arena-recycled grid and gathering every sample
+    /// through the planned windows.
     ///
     /// Each output is bitwise identical to `self.forward(image, coords)`
     /// because [`gather_from_windows`] accumulates in the same order as
@@ -887,60 +929,23 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
         if images.is_empty() {
             return Ok(Vec::new());
         }
-        let g = self.inner.params.grid;
-        let w = self.inner.params.width;
-        let npoints = g.pow(D as u32);
+        let npoints = self.inner.params.grid.pow(D as u32);
         let njobs = images.len();
 
         let _span = telemetry::span!("nufft.forward_batch_planned", {
             dim: D,
             images: njobs
         });
-        let pool = WorkerPool::global();
         let inner = Arc::clone(&self.inner);
         let windows = Arc::clone(&traj.windows);
         let imgs: Vec<Arc<[Complex<T>]>> = images.iter().map(|b| Arc::from(*b)).collect();
         let (tx, rx) = channel();
-        let run = pool.try_run(njobs, move |j, arena| {
-            let _img_span = telemetry::span!("nufft.coil_forward", { image: j });
+        let run = WorkerPool::global().try_run_balanced(njobs, move |j, arena| {
             faultpoint!(crate::fault::NUFFT_COIL);
             let mut grid = arena.take_vec(keys::COIL_GRID, npoints, Complex::<T>::zeroed());
-            let t0 = Instant::now();
-            inner.embed_apodized(&imgs[j], &mut grid);
-            let apod_seconds = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            {
-                let _fft_span = telemetry::span!("fft.process", { points: npoints });
-                inner.fft.process(&mut grid, Direction::Forward);
-            }
-            let fft_seconds = t1.elapsed().as_secs_f64();
-            let t2 = Instant::now();
-            let mut samples: Vec<Complex<T>> = Vec::with_capacity(windows.len());
-            let mut cancelled_early = false;
-            for (i, wins) in windows.iter().enumerate() {
-                if i & CANCEL_CHECK_MASK == 0 && cancel::cancelled() {
-                    // Cooperative cancellation mid-gather: report a Budget
-                    // error instead of a truncated sample vector.
-                    cancelled_early = true;
-                    break;
-                }
-                samples.push(gather_from_windows::<T, D>(&grid, g, w, wins));
-            }
-            let interp_seconds = t2.elapsed().as_secs_f64();
-            let result = if cancelled_early {
-                Err(Error::Budget(format!("image {j} cancelled mid-gather")))
-            } else {
-                Ok(ForwardOutput {
-                    samples,
-                    timings: StageTimings {
-                        prep_seconds: 0.0,
-                        interp_seconds,
-                        fft_seconds,
-                        apod_seconds,
-                    },
-                })
-            };
-            let _ = tx.send((j, grid, result));
+            let out = inner.forward_planned(j, &windows, &imgs[j], &mut grid);
+            arena.give_vec(keys::COIL_GRID, grid);
+            let _ = tx.send((j, out));
         });
         if let Err(failure) = run {
             if !crate::engine::serial_fallback_enabled() {
@@ -950,68 +955,27 @@ impl<T: Float, const D: usize> NufftPlan<T, D> {
             drop(rx);
             return self.forward_batch_planned_serial(images, traj);
         }
-
-        let mut out: Vec<Option<ForwardOutput<T>>> = (0..njobs).map(|_| None).collect();
-        for _ in 0..njobs {
-            let (j, grid, fwd) = rx.recv().map_err(|_| {
-                Error::Execution("planned forward job result channel closed".into())
-            })?;
-            pool.restore(j, keys::COIL_GRID, grid);
-            out[j] = Some(fwd?);
-        }
-        out.into_iter()
-            .enumerate()
-            .map(|(j, r)| {
-                r.ok_or_else(|| Error::Execution(format!("image job {j} never reported a result")))
-            })
-            .collect()
+        collect_jobs(rx, njobs, "planned forward")
     }
 
     /// Single-threaded recompute of [`Self::forward_batch_planned`] — the
-    /// graceful-degradation path after a pooled image job fails. Mirrors
-    /// the job body exactly (serial embed, serial FFT, windowed gather in
-    /// sample order), so outputs are bitwise identical to an unfaulted
-    /// pooled run.
+    /// graceful-degradation path after a pooled image job fails. Runs the
+    /// pooled job body image by image, so outputs are bitwise identical
+    /// to an unfaulted pooled run.
     fn forward_batch_planned_serial(
         &self,
         images: &[&[Complex<T>]],
         traj: &PlannedTrajectory<D>,
     ) -> Result<Vec<ForwardOutput<T>>> {
-        let g = self.inner.params.grid;
-        let w = self.inner.params.width;
-        let npoints = g.pow(D as u32);
-        let mut grid = vec![Complex::<T>::zeroed(); npoints];
-        let mut out = Vec::with_capacity(images.len());
-        for (j, img) in images.iter().enumerate() {
-            let _img_span = telemetry::span!("nufft.coil_forward", { image: j });
-            grid.fill(Complex::zeroed());
-            let t0 = Instant::now();
-            self.inner.embed_apodized(img, &mut grid);
-            let apod_seconds = t0.elapsed().as_secs_f64();
-            let t1 = Instant::now();
-            {
-                let _fft_span = telemetry::span!("fft.process", { points: npoints });
-                self.inner.fft.process(&mut grid, Direction::Forward);
-            }
-            let fft_seconds = t1.elapsed().as_secs_f64();
-            let t2 = Instant::now();
-            let samples: Vec<Complex<T>> = traj
-                .windows
-                .iter()
-                .map(|wins| gather_from_windows::<T, D>(&grid, g, w, wins))
-                .collect();
-            let interp_seconds = t2.elapsed().as_secs_f64();
-            out.push(ForwardOutput {
-                samples,
-                timings: StageTimings {
-                    prep_seconds: 0.0,
-                    interp_seconds,
-                    fft_seconds,
-                    apod_seconds,
-                },
-            });
-        }
-        Ok(out)
+        let mut grid = vec![Complex::<T>::zeroed(); self.inner.params.grid.pow(D as u32)];
+        images
+            .iter()
+            .enumerate()
+            .map(|(j, img)| {
+                grid.fill(Complex::zeroed());
+                self.inner.forward_planned(j, &traj.windows, img, &mut grid)
+            })
+            .collect()
     }
 
     /// The adjoint NuFFT's post-gridding stages: uniform FFT over an
@@ -1364,6 +1328,124 @@ mod tests {
         assert!(plan.adjoint_batch_planned(&foreign, &[]).is_err());
         // Non-finite coordinates rejected at planning time.
         assert!(plan.plan_trajectory(&[[f64::NAN, 0.0]]).is_err());
+    }
+
+    /// Random coordinates plus, in every dimension, one sample whose
+    /// window starts at base 0 and one at base G − 1: both windows wrap
+    /// the torus.
+    fn wrapping_coords<const D: usize>(cfg: &NufftConfig, m: usize, seed: u64) -> Vec<[f64; D]> {
+        let g = cfg.grid_size() as f64;
+        let half = cfg.width as f64 / 2.0;
+        let flat = test_coords(m * D, seed);
+        let mut coords: Vec<[f64; D]> = (0..m)
+            .map(|i| std::array::from_fn(|d| flat[i * D + d][0]))
+            .collect();
+        for base in [0.0, g - 1.0] {
+            // u + W/2 lands 0.3 cells past `base` (mod G); ν = u / G.
+            coords.push([(base - half + 0.3) / g; D]);
+        }
+        coords
+    }
+
+    /// Planned adjoint and forward — pooled and serial fallback — are
+    /// bitwise equal to the unplanned `SerialGridder` adjoint and
+    /// `forward`, with windows that wrap at both torus edges.
+    fn assert_planned_bitwise<T: Float, const D: usize>(cfg: NufftConfig) {
+        let coils = 3;
+        let plan = NufftPlan::<T, D>::new(cfg.clone()).unwrap();
+        let coords = wrapping_coords::<D>(&cfg, 150, 11 + D as u64);
+        let traj = plan.plan_trajectory(&coords).unwrap();
+        let g = cfg.grid_size() as u32;
+        for d in 0..D {
+            for base in [0, g - 1] {
+                assert!(
+                    traj.windows.iter().any(|s| s[d].base == base),
+                    "dim {d} never reaches base {base}"
+                );
+            }
+        }
+        let values = |len: usize, seed: u64| -> Vec<Complex<T>> {
+            test_values(len, seed)
+                .iter()
+                .map(|v| Complex::new(T::from_f64(v.re), T::from_f64(v.im)))
+                .collect()
+        };
+        let data: Vec<_> = (0..coils).map(|c| values(coords.len(), 30 + c)).collect();
+        let images: Vec<_> = (0..coils)
+            .map(|c| values(cfg.n.pow(D as u32), 40 + c))
+            .collect();
+        let data_refs: Vec<&[Complex<T>]> = data.iter().map(|v| v.as_slice()).collect();
+        let image_refs: Vec<&[Complex<T>]> = images.iter().map(|v| v.as_slice()).collect();
+        let bits = |v: &[Complex<T>]| -> Vec<u64> {
+            v.iter()
+                .flat_map(|z| [z.re.to_f64().to_bits(), z.im.to_f64().to_bits()])
+                .collect()
+        };
+        let adjoint = [
+            plan.adjoint_batch_planned(&traj, &data_refs).unwrap(),
+            plan.adjoint_batch_planned_serial(&traj, &data_refs)
+                .unwrap(),
+        ];
+        let forward = [
+            plan.forward_batch_planned(&image_refs, &traj).unwrap(),
+            plan.forward_batch_planned_serial(&image_refs, &traj)
+                .unwrap(),
+        ];
+        for c in 0..coils as usize {
+            let reference = plan.adjoint(&coords, &data[c], &SerialGridder).unwrap();
+            let fref = plan.forward(&images[c], &coords).unwrap();
+            for (path, (adj, fwd)) in ["pooled", "serial"]
+                .iter()
+                .zip(adjoint.iter().zip(&forward))
+            {
+                assert_eq!(
+                    bits(&adj[c].image),
+                    bits(&reference.image),
+                    "{path} adjoint {c}"
+                );
+                assert_eq!(
+                    bits(&fwd[c].samples),
+                    bits(&fref.samples),
+                    "{path} forward {c}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn planned_paths_are_bitwise_unplanned_in_1d_2d_3d() {
+        assert_planned_bitwise::<f64, 1>(NufftConfig::with_n(16));
+        assert_planned_bitwise::<f64, 2>(NufftConfig::with_n(16));
+        assert_planned_bitwise::<f64, 3>(NufftConfig::with_n(8));
+    }
+
+    #[test]
+    fn planned_paths_are_bitwise_unplanned_in_f32() {
+        assert_planned_bitwise::<f32, 2>(NufftConfig::with_n(16));
+    }
+
+    #[test]
+    fn planned_paths_are_bitwise_unplanned_at_odd_wl() {
+        let mut cfg = NufftConfig::with_n(16);
+        cfg.width = 5;
+        cfg.table_oversampling = 1;
+        assert_planned_bitwise::<f64, 2>(cfg);
+    }
+
+    #[test]
+    fn planned_record_is_16_bytes_per_2d_sample() {
+        assert_eq!(std::mem::size_of::<[PlannedWindow; 2]>(), 16);
+    }
+
+    #[test]
+    fn planned_trajectory_rejects_a_different_table_oversampling() {
+        let plan = NufftPlan::<f64, 2>::new(NufftConfig::with_n(16)).unwrap();
+        let mut cfg = NufftConfig::with_n(16);
+        cfg.table_oversampling = 64;
+        let other = NufftPlan::<f64, 2>::new(cfg).unwrap();
+        let traj = other.plan_trajectory(&test_coords(10, 3)).unwrap();
+        let v = vec![C64::one(); 10];
+        assert!(plan.adjoint_batch_planned(&traj, &[&v]).is_err());
     }
 
     #[test]

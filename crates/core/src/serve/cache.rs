@@ -22,11 +22,20 @@
 //!
 //! Toeplitz normal-operator kernels are cached in the same LRU (see
 //! [`PlanCache::get_or_build_toeplitz`]): their keys carry the doubled
-//! (`2N`) geometry **plus** an FNV hash of the density weights
+//! (`2N`) geometry **plus** a hash of the density weights
 //! ([`weights_hash`], never the [`WEIGHT_INDEPENDENT`] sentinel plan
 //! entries use), so weighted and unweighted kernels — even ones whose
 //! weights differ by a single ULP — never alias each other or a plain
 //! `2N` plan.
+//!
+//! ## Verified hits
+//!
+//! A 64-bit key can collide, by accident or on purpose. Every entry keeps
+//! its rebuild inputs (coordinates and weights), so
+//! [`PlanCache::get_or_build`] and [`PlanCache::get_or_build_toeplitz`]
+//! serve a key match only if those inputs equal the request's bit for
+//! bit. A mismatch is a miss, counted in `serve.cache.collisions`, and
+//! the freshly built entry replaces the colliding one.
 
 use crate::config::NufftConfig;
 use crate::gridding::Gridder;
@@ -61,8 +70,7 @@ pub struct PlanKey {
     pub kernel_fp: u64,
     /// Number of trajectory samples.
     pub samples: usize,
-    /// FNV-1a hash of every coordinate's bit pattern (see
-    /// [`trajectory_hash`]).
+    /// Hash of every coordinate's bit pattern (see [`trajectory_hash`]).
     pub traj_hash: u64,
     /// Density-weights hash: [`WEIGHT_INDEPENDENT`] (zero) for plan
     /// entries (planning never depends on weights), [`weights_hash`]
@@ -76,29 +84,33 @@ pub struct PlanKey {
 /// returns it.
 pub const WEIGHT_INDEPENDENT: u64 = 0;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// SplitMix64's finalizer: a bijection on `u64` with full avalanche.
+fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-/// FNV-1a over the sample count and every coordinate's `f64` bit
-/// pattern, in order. This is the stale-plan fix: identical shapes with
-/// different contents hash apart (sample order matters too — planned
-/// scatter replays samples in order, so order is part of identity).
+/// Hash a word sequence one 64-bit word per step: `h ← (h ⊕ mix(x))·P`,
+/// finalized by one more mix. Mixing each word first matters: under a
+/// plain `(h ⊕ x)·P` fold a sign flip only ever toggles bit 63, so a
+/// trajectory and its reflection (an even number of sign flips) collide.
+fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    const PRIME: u64 = 0x1000_0000_01b3;
+    let h = words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ mix64(x)).wrapping_mul(PRIME)
+    });
+    mix64(h)
+}
+
+/// Hash of the sample count and every coordinate's `f64` bit pattern, in
+/// order. This is the stale-plan fix: identical shapes with different
+/// contents hash apart (sample order matters too — planned scatter
+/// replays samples in order, so order is part of identity).
 pub fn trajectory_hash(coords: &[[f64; 2]]) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &(coords.len() as u64).to_le_bytes());
-    for c in coords {
-        h = fnv1a(h, &c[0].to_bits().to_le_bytes());
-        h = fnv1a(h, &c[1].to_bits().to_le_bytes());
-    }
-    h
+    let words = coords.iter().flat_map(|c| [c[0].to_bits(), c[1].to_bits()]);
+    hash_words(std::iter::once(coords.len() as u64).chain(words))
 }
 
 /// Fingerprint of a *resolved* kernel: family discriminant mixed with
@@ -113,23 +125,30 @@ pub fn kernel_fingerprint(kernel: &KernelKind) -> u64 {
         KernelKind::BSpline => (5, 0.0),
         KernelKind::Sinc => (6, 0.0),
     };
-    let mut h = fnv1a(FNV_OFFSET, &disc.to_le_bytes());
-    h = fnv1a(h, &param.to_bits().to_le_bytes());
-    h
+    hash_words([disc, param.to_bits()])
 }
 
-/// FNV-1a over the weight count and every density weight's `f64` bit
+/// Hash of the weight count and every density weight's `f64` bit
 /// pattern, in order — the Toeplitz-kernel analogue of
 /// [`trajectory_hash`]. A 1-ULP perturbation of any weight changes the
 /// hash. Never returns [`WEIGHT_INDEPENDENT`]: the astronomically rare
 /// zero output is remapped to 1 so kernel entries can never alias plan
 /// entries by construction.
 pub fn weights_hash(weights: &[f64]) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, &(weights.len() as u64).to_le_bytes());
-    for w in weights {
-        h = fnv1a(h, &w.to_bits().to_le_bytes());
-    }
-    h.max(1)
+    let words = weights.iter().map(|w| w.to_bits());
+    hash_words(std::iter::once(weights.len() as u64).chain(words)).max(1)
+}
+
+/// Bitwise equality of two `f64` sequences (`-0.0 ≠ 0.0`, NaN payloads
+/// compared exactly) — the hit-verification test.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Whether `entry` was built from exactly these rebuild inputs.
+fn built_from(entry: &CachedPlan, coords: &[[f64; 2]], weights: &[f64]) -> bool {
+    same_bits(entry.coords.as_flattened(), coords.as_flattened())
+        && same_bits(&entry.weights, weights)
 }
 
 /// Build the cache key for a configuration + trajectory pair. The kernel
@@ -216,6 +235,7 @@ pub struct PlanCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    collisions: AtomicU64,
 }
 
 impl PlanCache {
@@ -227,6 +247,7 @@ impl PlanCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            collisions: AtomicU64::new(0),
         }
     }
 
@@ -260,6 +281,12 @@ impl PlanCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
+    /// Key matches refused because the entry's inputs differ from the
+    /// request's (each also counted as a miss).
+    pub fn collisions(&self) -> u64 {
+        self.collisions.load(Ordering::Relaxed)
+    }
+
     /// The resident keys, most recently used first. (Test/diagnostic
     /// surface — the LRU property tests compare this against a model.)
     pub fn keys(&self) -> Vec<PlanKey> {
@@ -276,44 +303,63 @@ impl PlanCache {
     }
 
     /// Look up `key`, promoting it to most recently used on a hit.
-    /// Counts a hit or a miss.
+    /// Counts a hit or a miss. Matches on the key alone; the daemon's
+    /// paths go through [`Self::get_or_build`], which also verifies the
+    /// entry's contents.
     pub fn lookup(&self, key: &PlanKey) -> Option<Arc<CachedPlan>> {
-        let mut entries = self.lock();
-        if let Some(i) = entries.iter().position(|e| &e.key == key) {
-            let Some(entry) = entries.remove(i) else {
-                // Unreachable: `i` came from `position` under the same lock.
-                return None;
-            };
-            entries.push_front(Arc::clone(&entry));
-            drop(entries);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            telemetry::record_counter("serve.cache.hit", 1);
-            telemetry::flight::record(
+        self.lookup_verified(key, |_| true)
+    }
+
+    /// [`Self::lookup`], serving a key match only if `verify` accepts the
+    /// entry; a refused match counts as a miss and a collision.
+    fn lookup_verified(
+        &self,
+        key: &PlanKey,
+        verify: impl Fn(&CachedPlan) -> bool,
+    ) -> Option<Arc<CachedPlan>> {
+        let hit = {
+            let mut entries = self.lock();
+            match entries.iter().position(|e| &e.key == key) {
+                Some(i) if verify(&entries[i]) => {
+                    let entry = entries.remove(i);
+                    if let Some(e) = &entry {
+                        entries.push_front(Arc::clone(e));
+                    }
+                    entry
+                }
+                Some(_) => {
+                    self.collisions.fetch_add(1, Ordering::Relaxed);
+                    telemetry::record_counter("serve.cache.collisions", 1);
+                    None
+                }
+                None => None,
+            }
+        };
+        let (counter, name, kind) = if hit.is_some() {
+            (
+                &self.hits,
+                "serve.cache.hit",
                 telemetry::FlightKind::CacheHit,
-                telemetry::current_request_id(),
-                key.traj_hash,
-                "",
-            );
-            Some(entry)
+            )
         } else {
-            drop(entries);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            telemetry::record_counter("serve.cache.miss", 1);
-            telemetry::flight::record(
+            (
+                &self.misses,
+                "serve.cache.miss",
                 telemetry::FlightKind::CacheMiss,
-                telemetry::current_request_id(),
-                key.traj_hash,
-                "",
-            );
-            None
-        }
+            )
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        telemetry::record_counter(name, 1);
+        telemetry::flight::record(kind, telemetry::current_request_id(), key.traj_hash, "");
+        hit
     }
 
     /// Insert an entry at the most-recently-used position, evicting the
-    /// least recently used entries beyond capacity. If the key is
-    /// already resident (a racing build on another thread won), the
-    /// resident entry is kept and returned so all callers share one
-    /// canonical plan.
+    /// least recently used entries beyond capacity. If an entry with the
+    /// same key and the same rebuild inputs is already resident (a racing
+    /// build on another thread won), it is kept and returned so all
+    /// callers share one canonical plan; a resident entry whose key
+    /// merely collides is replaced.
     pub fn insert(&self, entry: Arc<CachedPlan>) -> Arc<CachedPlan> {
         let mut evicted = 0u64;
         let canonical;
@@ -323,8 +369,12 @@ impl PlanCache {
                 let Some(existing) = entries.remove(i) else {
                     return entry;
                 };
-                entries.push_front(Arc::clone(&existing));
-                canonical = existing;
+                canonical = if built_from(&existing, &entry.coords, &entry.weights) {
+                    existing
+                } else {
+                    entry
+                };
+                entries.push_front(Arc::clone(&canonical));
             } else {
                 entries.push_front(Arc::clone(&entry));
                 while entries.len() > self.capacity {
@@ -360,7 +410,7 @@ impl PlanCache {
     ) -> Result<(Arc<CachedPlan>, bool)> {
         faultpoint!(crate::fault::SERVE_CACHE);
         let key = plan_key(cfg, coords);
-        if let Some(hit) = self.lookup(&key) {
+        if let Some(hit) = self.lookup_verified(&key, |e| built_from(e, coords, &[])) {
             return Ok((hit, true));
         }
         // Build outside the lock: concurrent misses on the same key may
@@ -406,10 +456,12 @@ impl PlanCache {
             )));
         }
         let key = toeplitz_key(cfg, coords, weights);
-        if let Some(hit) = self.lookup(&key) {
-            if let Some(op) = &hit.toeplitz {
-                return Ok((Arc::clone(op), true));
-            }
+        let verify = |e: &CachedPlan| e.toeplitz.is_some() && built_from(e, coords, weights);
+        if let Some(op) = self
+            .lookup_verified(&key, verify)
+            .and_then(|hit| hit.toeplitz.clone())
+        {
+            return Ok((op, true));
         }
         let mut cfg2 = cfg.clone();
         cfg2.n = 2 * cfg.n;
@@ -644,6 +696,94 @@ mod tests {
         let second = cache.insert(build());
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.len(), 1);
+    }
+
+    /// A cache entry for `built` stored under `key`, as a colliding
+    /// trajectory would leave it.
+    fn entry_under(key: PlanKey, c: &NufftConfig, built: &[[f64; 2]]) -> Arc<CachedPlan> {
+        let plan = NufftPlan::<f64, 2>::new(c.clone()).unwrap();
+        let traj = plan.plan_trajectory(built).unwrap();
+        Arc::new(CachedPlan {
+            key,
+            cfg: c.clone(),
+            plan,
+            traj,
+            coords: built.into(),
+            weights: Arc::from([] as [f64; 0]),
+            toeplitz: None,
+        })
+    }
+
+    #[test]
+    fn forced_collision_is_a_counted_miss_that_returns_the_right_plan() {
+        let cache = PlanCache::new(4);
+        let c = cfg(8);
+        let t = traj(31, 16);
+        let other = traj(41, 16);
+        // `other`'s plan parked under `t`'s key: a 64-bit collision.
+        cache.insert(entry_under(plan_key(&c, &t), &c, &other));
+        let (got, hit) = cache.get_or_build(&c, &t).unwrap();
+        assert!(!hit, "a key match with different coordinates must miss");
+        assert_eq!(
+            (cache.hits(), cache.misses(), cache.collisions()),
+            (0, 1, 1)
+        );
+        assert!(built_from(&got, &t, &[]));
+        // The rebuilt entry replaced the colliding one and now hits.
+        assert_eq!(cache.len(), 1);
+        let (again, hit) = cache.get_or_build(&c, &t).unwrap();
+        assert!(hit && Arc::ptr_eq(&got, &again));
+        assert_eq!(cache.collisions(), 1);
+    }
+
+    #[test]
+    fn forced_toeplitz_collision_rebuilds_the_kernel() {
+        let cache = PlanCache::new(4);
+        let c = cfg(8);
+        let t = traj(51, 24);
+        let g = crate::gridding::SerialGridder;
+        let w = vec![0.5; t.len()];
+        let (right, _) = cache.get_or_build_toeplitz(&c, &t, &w, &g).unwrap();
+        // Same trajectory, weights differing in one ULP, forced onto the
+        // first kernel's key.
+        let mut w2 = w.clone();
+        w2[3] = f64::from_bits(w2[3].to_bits() + 1);
+        let (wrong, _) = cache.get_or_build_toeplitz(&c, &t, &w2, &g).unwrap();
+        let src = cache.lookup(&toeplitz_key(&c, &t, &w2)).unwrap();
+        cache.insert(Arc::new(CachedPlan {
+            key: toeplitz_key(&c, &t, &w),
+            cfg: src.cfg.clone(),
+            plan: src.plan.clone(),
+            traj: src.traj.clone(),
+            coords: Arc::clone(&src.coords),
+            weights: Arc::clone(&src.weights),
+            toeplitz: src.toeplitz.clone(),
+        }));
+        let collisions = cache.collisions();
+        let (got, hit) = cache.get_or_build_toeplitz(&c, &t, &w, &g).unwrap();
+        assert!(!hit);
+        assert_eq!(cache.collisions(), collisions + 1);
+        assert!(!Arc::ptr_eq(&got, &wrong));
+        assert!(!Arc::ptr_eq(&got, &right), "the kernel was rebuilt");
+    }
+
+    #[test]
+    fn reflected_and_one_ulp_trajectories_key_apart() {
+        let c = cfg(16);
+        let t = traj(61, 64);
+        let reflected: Vec<[f64; 2]> = t.iter().map(|p| [-p[0], -p[1]]).collect();
+        assert_ne!(plan_key(&c, &t), plan_key(&c, &reflected));
+        for i in [0, 17, 63] {
+            for d in 0..2 {
+                let mut nudged = t.clone();
+                nudged[i][d] = f64::from_bits(nudged[i][d].to_bits() + 1);
+                assert_ne!(
+                    plan_key(&c, &t),
+                    plan_key(&c, &nudged),
+                    "sample {i} dim {d}"
+                );
+            }
+        }
     }
 
     #[test]

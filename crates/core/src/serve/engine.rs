@@ -413,20 +413,39 @@ mod tests {
 
     #[test]
     fn watchdog_style_cancellation_stops_a_job_mid_run() {
+        use std::sync::Barrier;
         let engine = ServeEngine::new(2);
-        // A large job (256² grid, thousands of samples) so the numeric
-        // body is comfortably longer than the cancellation delay.
-        let req = radial_request(41, 256, 5);
+        let req = radial_request(41, 64, 5);
         let budget = RunBudget::unlimited();
-        let flag = budget.cancel_flag();
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            flag.cancel();
+        // Hold every pool worker, so the job cannot finish its numeric
+        // body before the cancel lands however fast the machine is.
+        let pool = crate::engine::WorkerPool::global();
+        let started = Arc::new(Barrier::new(pool.size() + 1));
+        let release = Arc::new(Barrier::new(pool.size() + 1));
+        let (s, r) = (Arc::clone(&started), Arc::clone(&release));
+        let holder = std::thread::spawn(move || {
+            pool.try_run_balanced(pool.size(), move |_, _| {
+                s.wait();
+                r.wait();
+            })
         });
-        let e = engine.execute(&req, &budget).unwrap_err();
-        canceller.join().unwrap();
+        started.wait();
+        let e = std::thread::scope(|scope| {
+            let job = scope.spawn(|| engine.execute(&req, &budget));
+            // Planning runs on the job's own thread; once the plan is
+            // cached the job is past planning, at or before its pooled
+            // gridding — a point it cannot leave while the pool is held.
+            while engine.cache().is_empty() && !job.is_finished() {
+                std::thread::yield_now();
+            }
+            budget.cancel();
+            release.wait();
+            job.join().unwrap()
+        })
+        .unwrap_err();
+        holder.join().unwrap().unwrap();
         assert_eq!(e.tag, 41);
-        assert_eq!(e.category, ErrorCategory::Budget);
+        assert_eq!(e.category, ErrorCategory::Budget, "{}", e.message);
         // Same engine afterwards: a fresh budget runs the job cleanly —
         // cancellation left no poisoned state behind.
         let small = radial_request(42, 16, 6);

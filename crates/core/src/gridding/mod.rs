@@ -17,6 +17,15 @@
 //! all use the same [`KernelLut`]; consequently the deterministic engines
 //! produce **bitwise identical** `f64` grids (verified by tests), because
 //! every grid point accumulates the same weights in the same sample order.
+//!
+//! The serial, density-compensation and planned scatters share
+//! [`scatter_rowmajor`], which resolves the torus wrap once per sample, as
+//! the paper's select unit does (§III, Figs. 4–5): when the innermost
+//! window passes the run test ([`Window::run_start`], base `b ≥ W − 1`),
+//! each row becomes one fixed-size `W`-lane update of contiguous grid
+//! points — the software analogue of the pipeline array, where every
+//! pipeline updates its own column with no further check. Wrapping
+//! windows go tap by tap; both paths are bitwise identical.
 
 pub mod binned;
 pub mod naive;
@@ -106,6 +115,14 @@ pub trait Window {
     fn index(&self, j: usize) -> usize;
     /// Kernel weight of window point `j`.
     fn weight(&self, j: usize) -> f64;
+    /// The run test: point `j` of a window with base `b` sits at `b − j`
+    /// on the torus, so a base `b ≥ w − 1` covers the contiguous indices
+    /// `b + 1 − w ..= b` without wrapping. Returns that run's first index
+    /// (point `j` lands at `start + w − 1 − j`), or `None` when the window
+    /// may wrap and must be visited tap by tap.
+    fn run_start(&self, _w: usize) -> Option<usize> {
+        None
+    }
 }
 
 /// Per-dimension window of one sample: grid indices and kernel weights.
@@ -134,6 +151,10 @@ impl Window for DimWindow {
     #[inline(always)]
     fn weight(&self, j: usize) -> f64 {
         self.weight[j]
+    }
+    #[inline(always)]
+    fn run_start(&self, w: usize) -> Option<usize> {
+        (self.idx[0] as usize + 1).checked_sub(w)
     }
 }
 
@@ -234,6 +255,10 @@ impl Window for PhasedWindow<'_> {
     fn weight(&self, j: usize) -> f64 {
         self.weights[j]
     }
+    #[inline(always)]
+    fn run_start(&self, w: usize) -> Option<usize> {
+        (self.base + 1).checked_sub(w)
+    }
 }
 
 /// Compute the per-dimension windows for one sample. Shared by the serial
@@ -266,9 +291,120 @@ pub fn sample_windows<const D: usize>(
 }
 
 /// Scatter one sample into a row-major grid given its per-dim windows.
-/// Specialized inner loops for the 2-D and 3-D cases the paper targets.
+///
+/// Widths 2–8 (Table I's hardware range, less the single-tap `W = 1`)
+/// take the `W`-lane row kernel whenever the innermost window passes the
+/// run test ([`Window::run_start`]): its weights are reversed into a
+/// `[f64; W]` once, and every row becomes one fixed-size update of `W`
+/// contiguous grid points — the software analogue of the `T×T` pipelines
+/// each updating its own column after the select unit resolved the base
+/// once. Wrapping windows and other widths go tap by tap. Each grid point
+/// receives `value.scale(T::from_f64(wy · wx_j))` once either way, so the
+/// two paths are bitwise identical.
 #[inline]
 pub fn scatter_rowmajor<T: Float, const D: usize, Wd: Window>(
+    g: usize,
+    w: usize,
+    wins: &[Wd; D],
+    value: Complex<T>,
+    out: &mut [Complex<T>],
+) {
+    match w {
+        2 => scatter_runs::<T, D, Wd, 2>(g, wins, value, out),
+        3 => scatter_runs::<T, D, Wd, 3>(g, wins, value, out),
+        4 => scatter_runs::<T, D, Wd, 4>(g, wins, value, out),
+        5 => scatter_runs::<T, D, Wd, 5>(g, wins, value, out),
+        6 => scatter_runs::<T, D, Wd, 6>(g, wins, value, out),
+        7 => scatter_runs::<T, D, Wd, 7>(g, wins, value, out),
+        8 => scatter_runs::<T, D, Wd, 8>(g, wins, value, out),
+        _ => scatter_taps(g, w, wins, value, out),
+    }
+}
+
+/// Start of the innermost window's contiguous run when the row kernels
+/// apply: `D` is 1–3 and that window passes the run test for width `w`.
+#[inline(always)]
+pub(crate) fn inner_run_start<const D: usize, Wd: Window>(
+    wins: &[Wd; D],
+    w: usize,
+) -> Option<usize> {
+    match D {
+        1..=3 => wins[D - 1].run_start(w),
+        _ => None,
+    }
+}
+
+/// The `W` contiguous grid points starting at `start`.
+#[inline(always)]
+pub(crate) fn run<T, const W: usize>(grid: &[T], start: usize) -> &[T; W] {
+    let len = grid.len();
+    grid[start..]
+        .first_chunk()
+        .unwrap_or_else(|| panic!("run {start}+{W} overruns a {len}-point grid"))
+}
+
+#[inline(always)]
+fn run_mut<T, const W: usize>(grid: &mut [T], start: usize) -> &mut [T; W] {
+    let len = grid.len();
+    grid[start..]
+        .first_chunk_mut()
+        .unwrap_or_else(|| panic!("run {start}+{W} overruns a {len}-point grid"))
+}
+
+/// One row of the row kernel: lane `k` adds `value · wts[k]` to its own
+/// grid point, with no index arithmetic or wrap test inside the loop.
+#[inline(always)]
+fn scatter_row<T: Float, const W: usize>(
+    row: &mut [Complex<T>; W],
+    wts: &[f64; W],
+    value: Complex<T>,
+) {
+    for (o, &wt) in row.iter_mut().zip(wts) {
+        *o += value.scale(T::from_f64(wt));
+    }
+}
+
+/// [`scatter_rowmajor`] monomorphised for width `W`.
+#[inline(always)]
+fn scatter_runs<T: Float, const D: usize, Wd: Window, const W: usize>(
+    g: usize,
+    wins: &[Wd; D],
+    value: Complex<T>,
+    out: &mut [Complex<T>],
+) {
+    let Some(x0) = inner_run_start(wins, W) else {
+        return scatter_taps(g, W, wins, value, out);
+    };
+    // Column weights in run order: point `j` lands at `x0 + W − 1 − j`.
+    let wx: [f64; W] = std::array::from_fn(|k| wins[D - 1].weight(W - 1 - k));
+    match D {
+        1 => scatter_row(run_mut(out, x0), &wx, value),
+        2 => {
+            for jy in 0..W {
+                let wy = wins[0].weight(jy);
+                let row = wins[0].index(jy) * g + x0;
+                scatter_row(run_mut(out, row), &wx.map(|x| wy * x), value);
+            }
+        }
+        _ => {
+            for jz in 0..W {
+                let plane = wins[0].index(jz) * g * g;
+                let wz = wins[0].weight(jz);
+                for jy in 0..W {
+                    let row = plane + wins[1].index(jy) * g + x0;
+                    let wyz = wz * wins[1].weight(jy);
+                    scatter_row(run_mut(out, row), &wx.map(|x| wyz * x), value);
+                }
+            }
+        }
+    }
+}
+
+/// The per-tap scatter: every window point resolves its own (possibly
+/// wrapped) grid index. Specialized inner loops for the 2-D and 3-D cases
+/// the paper targets.
+#[inline]
+fn scatter_taps<T: Float, const D: usize, Wd: Window>(
     g: usize,
     w: usize,
     wins: &[Wd; D],
@@ -367,13 +503,7 @@ pub(crate) mod testutil {
         g: f64,
         seed: u64,
     ) -> (Vec<[f64; D]>, Vec<jigsaw_num::C64>) {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s as f64 / u64::MAX as f64
-        };
+        let mut next = uniform(seed);
         let mut coords = Vec::with_capacity(m);
         let mut values = Vec::with_capacity(m);
         for i in 0..m {
@@ -390,6 +520,57 @@ pub(crate) mod testutil {
             values.push(jigsaw_num::C64::new(next() * 2.0 - 1.0, next() * 2.0 - 1.0));
         }
         (coords, values)
+    }
+
+    /// A xorshift stream of uniform draws in `[0, 1]`.
+    pub fn uniform(seed: u64) -> impl FnMut() -> f64 {
+        let mut s = seed | 1;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s as f64 / u64::MAX as f64
+        }
+    }
+
+    /// Windows for the row-kernel property tests: the innermost dimension
+    /// has base `inner`, the others pseudo-random bases, and every weight
+    /// is a pseudo-random value in `[−1, 1)`.
+    pub fn random_windows<const D: usize>(
+        g: usize,
+        w: usize,
+        inner: usize,
+        next: &mut impl FnMut() -> f64,
+    ) -> [DimWindow; D] {
+        std::array::from_fn(|d| {
+            let base = if d == D - 1 {
+                inner
+            } else {
+                (next() * g as f64) as usize % g
+            };
+            let mut win = DimWindow::default();
+            for j in 0..w {
+                win.idx[j] = ((base + g - j) % g) as u32;
+                win.weight[j] = next() * 2.0 - 1.0;
+            }
+            win
+        })
+    }
+
+    /// The inner-dimension bases the property tests cover for width `w`
+    /// on a `g`-point grid: `w − 2` (wraps), `w − 1` (the first contiguous
+    /// base) and `g − 1`.
+    pub fn edge_bases(g: usize, w: usize) -> impl Iterator<Item = usize> {
+        [w.checked_sub(2), Some(w - 1), Some(g - 1)]
+            .into_iter()
+            .flatten()
+    }
+
+    /// Bit patterns of a complex buffer, widened to `f64` (exact for `f32`).
+    pub fn bits<T: Float>(zs: &[Complex<T>]) -> Vec<(u64, u64)> {
+        zs.iter()
+            .map(|z| (z.re.to_f64().to_bits(), z.im.to_f64().to_bits()))
+            .collect()
     }
 }
 
@@ -500,6 +681,71 @@ mod tests {
                     for j in 0..width {
                         assert_eq!(mat.index(j), phased.index(j), "W={width} L={l} at {c:?}");
                         assert_eq!(mat.weight[j].to_bits(), phased.weight(j).to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Grid size for the row-kernel property tests: large enough for every
+    /// width up to [`MAX_W`], small enough that 3-D stays cheap.
+    const PROP_G: usize = 32;
+
+    fn row_kernel_scatter_is_bitwise_per_tap<T: Float, const D: usize>() {
+        let g = PROP_G;
+        let mut next = uniform(0x5CA7 + D as u64);
+        for w in 1..=MAX_W {
+            for inner in edge_bases(g, w) {
+                let wins = random_windows::<D>(g, w, inner, &mut next);
+                assert_eq!(wins[D - 1].run_start(w).is_some(), inner + 1 >= w);
+                let value = Complex::new(T::from_f64(next() - 0.5), T::from_f64(next() - 0.5));
+                let init: Vec<Complex<T>> = (0..g.pow(D as u32))
+                    .map(|_| Complex::new(T::from_f64(next()), T::from_f64(-next())))
+                    .collect();
+                let mut fast = init.clone();
+                let mut taps = init;
+                scatter_rowmajor(g, w, &wins, value, &mut fast);
+                scatter_taps(g, w, &wins, value, &mut taps);
+                assert_eq!(bits(&fast), bits(&taps), "D={D} W={w} inner base {inner}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_kernel_scatter_is_bitwise_per_tap_f64() {
+        row_kernel_scatter_is_bitwise_per_tap::<f64, 1>();
+        row_kernel_scatter_is_bitwise_per_tap::<f64, 2>();
+        row_kernel_scatter_is_bitwise_per_tap::<f64, 3>();
+    }
+
+    #[test]
+    fn row_kernel_scatter_is_bitwise_per_tap_f32() {
+        row_kernel_scatter_is_bitwise_per_tap::<f32, 1>();
+        row_kernel_scatter_is_bitwise_per_tap::<f32, 2>();
+        row_kernel_scatter_is_bitwise_per_tap::<f32, 3>();
+    }
+
+    #[test]
+    fn run_test_is_some_exactly_for_non_wrapping_bases() {
+        let g = PROP_G;
+        let weights = [0.0; MAX_W];
+        for w in 1..=MAX_W {
+            for base in 0..g {
+                let phased = PhasedWindow {
+                    base,
+                    grid: g,
+                    weights: &weights[..w],
+                };
+                let mut dim = DimWindow::default();
+                for j in 0..w {
+                    dim.idx[j] = phased.index(j) as u32;
+                }
+                let start = phased.run_start(w);
+                assert_eq!(start.is_some(), base >= w - 1, "W={w} base {base}");
+                assert_eq!(dim.run_start(w), start, "W={w} base {base}");
+                if let Some(start) = start {
+                    for j in 0..w {
+                        assert_eq!(phased.index(j), start + w - 1 - j);
                     }
                 }
             }

@@ -12,7 +12,7 @@
 
 use crate::config::GridParams;
 use crate::decomp::Decomposer;
-use crate::gridding::{sample_windows, worker_threads, Window, MAX_W};
+use crate::gridding::{inner_run_start, run, sample_windows, worker_threads, Window, MAX_W};
 use crate::lut::KernelLut;
 use crate::{Error, Result};
 use jigsaw_num::{Complex, Float};
@@ -36,8 +36,86 @@ fn gather_sample<T: Float, const D: usize>(
 /// the kernel-weighted sum of the `W^d` window points, accumulated in
 /// exactly the order the on-the-fly path uses, so planned and unplanned
 /// gathers are bitwise identical.
+///
+/// Like [`crate::gridding::scatter_rowmajor`], widths 2–8 read each row of
+/// a non-wrapping innermost window as one `[Complex<T>; W]` run; the run
+/// is walked in reverse so the accumulation order stays `j = 0..W`.
 #[inline]
 pub fn gather_from_windows<T: Float, const D: usize, Wd: Window>(
+    grid: &[Complex<T>],
+    g: usize,
+    w: usize,
+    wins: &[Wd; D],
+) -> Complex<T> {
+    match w {
+        2 => gather_runs::<T, D, Wd, 2>(grid, g, wins),
+        3 => gather_runs::<T, D, Wd, 3>(grid, g, wins),
+        4 => gather_runs::<T, D, Wd, 4>(grid, g, wins),
+        5 => gather_runs::<T, D, Wd, 5>(grid, g, wins),
+        6 => gather_runs::<T, D, Wd, 6>(grid, g, wins),
+        7 => gather_runs::<T, D, Wd, 7>(grid, g, wins),
+        8 => gather_runs::<T, D, Wd, 8>(grid, g, wins),
+        _ => gather_taps(grid, g, w, wins),
+    }
+}
+
+/// `Σ_j row[W−1−j] · wts(j)` for `j = 0..W`: a contiguous row read in
+/// window-point order.
+#[inline(always)]
+fn gather_row<T: Float, const W: usize>(
+    row: &[Complex<T>; W],
+    wts: impl Fn(usize) -> f64,
+) -> Complex<T> {
+    let mut acc = Complex::<T>::zeroed();
+    for (j, z) in row.iter().rev().enumerate() {
+        acc += z.scale(T::from_f64(wts(j)));
+    }
+    acc
+}
+
+/// [`gather_from_windows`] monomorphised for width `W`.
+#[inline(always)]
+fn gather_runs<T: Float, const D: usize, Wd: Window, const W: usize>(
+    grid: &[Complex<T>],
+    g: usize,
+    wins: &[Wd; D],
+) -> Complex<T> {
+    let Some(x0) = inner_run_start(wins, W) else {
+        return gather_taps(grid, g, W, wins);
+    };
+    let wx = |j| wins[D - 1].weight(j);
+    match D {
+        1 => gather_row(run::<_, W>(grid, x0), wx),
+        2 => {
+            let mut acc = Complex::<T>::zeroed();
+            for jy in 0..W {
+                let row = run::<_, W>(grid, wins[0].index(jy) * g + x0);
+                acc += gather_row(row, wx).scale(T::from_f64(wins[0].weight(jy)));
+            }
+            acc
+        }
+        _ => {
+            let mut acc = Complex::<T>::zeroed();
+            for jz in 0..W {
+                let plane = wins[0].index(jz) * g * g;
+                let wz = wins[0].weight(jz);
+                for jy in 0..W {
+                    let row = run::<_, W>(grid, plane + wins[1].index(jy) * g + x0);
+                    let wyz = wz * wins[1].weight(jy);
+                    for (j, z) in row.iter().rev().enumerate() {
+                        acc += z.scale(T::from_f64(wyz * wx(j)));
+                    }
+                }
+            }
+            acc
+        }
+    }
+}
+
+/// The per-tap gather: every window point resolves its own (possibly
+/// wrapped) grid index.
+#[inline]
+fn gather_taps<T: Float, const D: usize, Wd: Window>(
     grid: &[Complex<T>],
     g: usize,
     w: usize,
@@ -233,6 +311,41 @@ mod tests {
         // Sample just across the wrap: at (15.6, 0.2, 15.9).
         interpolate(&p, &lut, &grid, &[[15.6, 0.2, 15.9]], &mut out, Some(1)).unwrap();
         assert!(out[0].re > 0.0, "wrapped gather must see the impulse");
+    }
+
+    fn row_kernel_gather_is_bitwise_per_tap<T: Float, const D: usize>() {
+        use crate::gridding::MAX_W;
+        let g: usize = 32;
+        let mut next = uniform(0x6A7 + D as u64);
+        let grid: Vec<Complex<T>> = (0..g.pow(D as u32))
+            .map(|_| Complex::new(T::from_f64(next() - 0.5), T::from_f64(next() - 0.5)))
+            .collect();
+        for w in 1..=MAX_W {
+            for inner in edge_bases(g, w) {
+                let wins = random_windows::<D>(g, w, inner, &mut next);
+                let fast = gather_from_windows(&grid, g, w, &wins);
+                let taps = gather_taps(&grid, g, w, &wins);
+                assert_eq!(
+                    bits(&[fast]),
+                    bits(&[taps]),
+                    "D={D} W={w} inner base {inner}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_kernel_gather_is_bitwise_per_tap_f64() {
+        row_kernel_gather_is_bitwise_per_tap::<f64, 1>();
+        row_kernel_gather_is_bitwise_per_tap::<f64, 2>();
+        row_kernel_gather_is_bitwise_per_tap::<f64, 3>();
+    }
+
+    #[test]
+    fn row_kernel_gather_is_bitwise_per_tap_f32() {
+        row_kernel_gather_is_bitwise_per_tap::<f32, 1>();
+        row_kernel_gather_is_bitwise_per_tap::<f32, 2>();
+        row_kernel_gather_is_bitwise_per_tap::<f32, 3>();
     }
 
     #[test]

@@ -434,60 +434,88 @@ fn push_stats(buf: &mut Vec<u8>, s: &StatsSnapshot) {
     }
 }
 
-/// Serialize a frame (header + payload) into a fresh byte vector.
-pub fn encode(frame: &Frame) -> Vec<u8> {
-    let mut payload = Vec::new();
-    match frame {
-        Frame::Submit(req) => {
-            push_u64(&mut payload, req.tag);
-            payload.push(req.priority.as_u8());
-            payload.push(0);
-            push_u32(&mut payload, req.n);
-            push_u32(&mut payload, req.budget_ms);
-            push_u32(&mut payload, req.coords.len() as u32);
-            for c in &req.coords {
-                push_f64(&mut payload, c[0]);
-                push_f64(&mut payload, c[1]);
-            }
-            for v in &req.values {
-                push_f64(&mut payload, v.re);
-                push_f64(&mut payload, v.im);
-            }
-        }
-        Frame::Result(res) => {
-            push_u64(&mut payload, res.tag);
-            payload.push(u8::from(res.cache_hit));
-            payload.push(0);
-            push_u32(&mut payload, res.n);
-            for z in &res.image {
-                push_f64(&mut payload, z.re);
-                push_f64(&mut payload, z.im);
-            }
-        }
-        Frame::Error(err) => {
-            push_u64(&mut payload, err.tag);
-            payload.push(err.category.as_u8());
-            payload.push(0);
-            push_u32(&mut payload, err.message.len() as u32);
-            payload.extend_from_slice(err.message.as_bytes());
-        }
-        Frame::StatsReply(s) => push_stats(&mut payload, s),
-        Frame::Overloaded(o) => {
-            push_u64(&mut payload, o.tag);
-            payload.push(o.reason.as_u8());
-            payload.push(0);
-            push_u32(&mut payload, o.retry_after_ms);
-            push_u32(&mut payload, o.message.len() as u32);
-            payload.extend_from_slice(o.message.as_bytes());
-        }
-        Frame::Ping | Frame::Pong | Frame::Shutdown | Frame::StatsRequest | Frame::Drain => {}
+/// Frame header bytes: magic, version, kind, payload length.
+const HEADER_LEN: usize = 10;
+
+/// Append `16·len` bytes of little-endian `f64` pairs in one pass over a
+/// pre-sized tail — no per-element capacity checks.
+fn push_f64_pairs(buf: &mut Vec<u8>, pairs: impl ExactSizeIterator<Item = (f64, f64)>) {
+    let start = buf.len();
+    buf.resize(start + 16 * pairs.len(), 0);
+    let (words, _) = buf[start..].as_chunks_mut::<8>();
+    for (w, (a, b)) in words.chunks_exact_mut(2).zip(pairs) {
+        w[0] = a.to_le_bytes();
+        w[1] = b.to_le_bytes();
     }
-    let mut out = Vec::with_capacity(10 + payload.len());
+}
+
+/// Read back the pairs [`push_f64_pairs`] wrote (`bytes.len()` is a
+/// multiple of 16).
+fn f64_pairs(bytes: &[u8]) -> impl ExactSizeIterator<Item = (f64, f64)> + '_ {
+    let (words, _) = bytes.as_chunks::<8>();
+    words
+        .chunks_exact(2)
+        .map(|w| (f64::from_le_bytes(w[0]), f64::from_le_bytes(w[1])))
+}
+
+/// Serialize a frame (header + payload) into a fresh byte vector.
+///
+/// Every frame but `StatsReply` knows its exact length up front: header
+/// and payload go into one allocation of exactly the frame's size, so a
+/// 4 MiB `Submit` is written once, never regrown or copied. The payload
+/// length is patched into the header at the end.
+pub fn encode(frame: &Frame) -> Vec<u8> {
+    let payload_hint = match frame {
+        Frame::Submit(req) => 22 + 16 * (req.coords.len() + req.values.len()),
+        Frame::Result(res) => 14 + 16 * res.image.len(),
+        Frame::Error(err) => 14 + err.message.len(),
+        Frame::Overloaded(o) => 18 + o.message.len(),
+        // Stats replies are small and variable; they grow as they encode.
+        _ => 0,
+    };
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_hint);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
     out.push(frame.kind());
-    push_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
+    push_u32(&mut out, 0);
+    match frame {
+        Frame::Submit(req) => {
+            push_u64(&mut out, req.tag);
+            out.push(req.priority.as_u8());
+            out.push(0);
+            push_u32(&mut out, req.n);
+            push_u32(&mut out, req.budget_ms);
+            push_u32(&mut out, req.coords.len() as u32);
+            push_f64_pairs(&mut out, req.coords.iter().map(|c| (c[0], c[1])));
+            push_f64_pairs(&mut out, req.values.iter().map(|v| (v.re, v.im)));
+        }
+        Frame::Result(res) => {
+            push_u64(&mut out, res.tag);
+            out.push(u8::from(res.cache_hit));
+            out.push(0);
+            push_u32(&mut out, res.n);
+            push_f64_pairs(&mut out, res.image.iter().map(|z| (z.re, z.im)));
+        }
+        Frame::Error(err) => {
+            push_u64(&mut out, err.tag);
+            out.push(err.category.as_u8());
+            out.push(0);
+            push_u32(&mut out, err.message.len() as u32);
+            out.extend_from_slice(err.message.as_bytes());
+        }
+        Frame::StatsReply(s) => push_stats(&mut out, s),
+        Frame::Overloaded(o) => {
+            push_u64(&mut out, o.tag);
+            out.push(o.reason.as_u8());
+            out.push(0);
+            push_u32(&mut out, o.retry_after_ms);
+            push_u32(&mut out, o.message.len() as u32);
+            out.extend_from_slice(o.message.as_bytes());
+        }
+        Frame::Ping | Frame::Pong | Frame::Shutdown | Frame::StatsRequest | Frame::Drain => {}
+    }
+    let len = (out.len() - HEADER_LEN) as u32;
+    out[6..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
     out
 }
 
@@ -706,7 +734,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtocolError> {
             Err(e) => return Err(e.into()),
         }
     }
-    let mut header = [0u8; 10];
+    let mut header = [0u8; HEADER_LEN];
     header[0] = first[0];
     r.read_exact(&mut header[1..])?;
     if header[..4] != MAGIC {
@@ -753,14 +781,10 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
                     payload.len()
                 )));
             }
-            let mut coords = Vec::with_capacity(m);
-            for _ in 0..m {
-                coords.push([c.f64()?, c.f64()?]);
-            }
-            let mut values = Vec::with_capacity(m);
-            for _ in 0..m {
-                values.push(C64::new(c.f64()?, c.f64()?));
-            }
+            let coords = f64_pairs(c.take(16 * m)?).map(|(x, y)| [x, y]).collect();
+            let values = f64_pairs(c.take(16 * m)?)
+                .map(|(re, im)| C64::new(re, im))
+                .collect();
             c.finish()?;
             Ok(Frame::Submit(JobRequest {
                 tag,
@@ -784,10 +808,9 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
                     payload.len()
                 )));
             }
-            let mut image = Vec::with_capacity(pixels as usize);
-            for _ in 0..pixels {
-                image.push(C64::new(c.f64()?, c.f64()?));
-            }
+            let image = f64_pairs(c.take(16 * pixels as usize)?)
+                .map(|(re, im)| C64::new(re, im))
+                .collect();
             c.finish()?;
             Ok(Frame::Result(JobResult {
                 tag,
@@ -1143,6 +1166,74 @@ mod tests {
             }
             let _ = read_frame(&mut io::Cursor::new(mutated));
         }
+    }
+
+    /// FNV-1a 64 of a byte string (a compact stand-in for long goldens).
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn wire_bytes_match_golden_frames() {
+        // Version-1 wire bytes, pinned so the bulk codec cannot drift.
+        let cases = [
+            (
+                Frame::Submit(JobRequest {
+                    tag: 0x0123_4567_89AB_CDEF,
+                    priority: Priority::High,
+                    n: 32,
+                    budget_ms: 250,
+                    coords: vec![[0.25, -0.5], [-0.0, 31.75]],
+                    values: vec![C64::new(1.5, -2.5), C64::new(f64::MIN_POSITIVE, 3.25)],
+                }),
+                "4a475357010156000000efcdab8967452301010020000000fa000000020000000000000000\
+                 00d03f000000000000e0bf00000000000000800000000000c03f40000000000000f83f0000\
+                 0000000004c000000000000010000000000000000a40",
+            ),
+            (
+                Frame::Result(JobResult {
+                    tag: 7,
+                    cache_hit: true,
+                    n: 1,
+                    image: vec![C64::new(-1.0, 0.125)],
+                }),
+                "4a47535701021e0000000700000000000000010001000000000000000000f0bf000000000000c03f",
+            ),
+            (
+                Frame::Error(ErrorFrame {
+                    tag: 9,
+                    category: ErrorCategory::Budget,
+                    message: "late".into(),
+                }),
+                "4a47535701031200000009000000000000000500040000006c617465",
+            ),
+            (
+                Frame::Overloaded(OverloadFrame {
+                    tag: 11,
+                    reason: ShedReason::QueueBytes,
+                    retry_after_ms: 40,
+                    message: "full".into(),
+                }),
+                "4a4753570109160000000b000000000000000200280000000400000066756c6c",
+            ),
+            (Frame::Ping, "4a475357010400000000"),
+        ];
+        for (frame, golden) in &cases {
+            let bytes = encode(frame);
+            assert_eq!(hex(&bytes), *golden, "{frame:?}");
+            assert_eq!(bytes.len(), bytes.capacity(), "exactly sized: {frame:?}");
+            assert_eq!(round_trip(frame), *frame);
+        }
+        let stats = encode(&Frame::StatsReply(Box::new(
+            super::super::stats::sample_snapshot(),
+        )));
+        assert_eq!((stats.len(), fnv1a(&stats)), (422, 0x319f_cbea_77ab_6ced));
     }
 
     #[test]

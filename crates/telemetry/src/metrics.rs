@@ -405,11 +405,11 @@ impl Snapshot {
             s.push_str("histograms:\n");
             for (n, h) in &self.histograms {
                 s.push_str(&format!(
-                    "  {n:wid$}  count {}  mean {:.1}  p50≤{}  p99≤{}\n",
+                    "  {n:wid$}  count {}  mean {:.1}  p50 {:.1}  p99 {:.1}\n",
                     h.count,
                     h.mean(),
-                    h.quantile_upper_bound(0.5),
-                    h.quantile_upper_bound(0.99),
+                    h.quantile_estimate(0.5),
+                    h.quantile_estimate(0.99),
                 ));
             }
         }
@@ -594,6 +594,28 @@ mod tests {
         assert!(table.contains("counters:") && table.contains('a'));
         let json = s.to_json();
         assert!(json.contains("\"a\": 1") && json.contains("\"g\": 0.5"));
+    }
+
+    #[test]
+    fn table_rows_print_interpolated_quantiles() {
+        // 10 samples: 4 in [4,8), 4 in [8,16), 2 in [16,32) — the log2
+        // bucket bounds would read p50≤16 p99≤32.
+        let s = Snapshot {
+            counters: vec![],
+            gauges: vec![],
+            histograms: vec![(
+                "phase.ns".to_string(),
+                HistogramSnapshot {
+                    count: 10,
+                    sum: 4 * 5 + 4 * 10 + 2 * 20,
+                    buckets: vec![(4, 8, 4), (8, 16, 4), (16, 32, 2)],
+                },
+            )],
+        };
+        assert_eq!(
+            s.to_table(),
+            "histograms:\n  phase.ns  count 10  mean 10.0  p50 10.0  p99 31.2\n"
+        );
     }
 
     #[test]

@@ -4,15 +4,13 @@
 //! branch when disarmed — the production default. This bench pins that
 //! contract two ways:
 //!
-//! 1. **Workload level**: the pooled slice-and-dice gridding problem from
-//!    `pooled_vs_scoped` is timed with fault points disarmed (default)
-//!    and with a plan armed at a site the workload never hits (the armed
-//!    slow path taken on every evaluation, without ever firing). The
+//! 1. **Workload level**: pooled slice-and-dice gridding of the 256²
+//!    radial problem is timed with fault points disarmed (default) and
+//!    with a plan armed at a site the workload never hits (the armed slow
+//!    path taken on every evaluation, without ever firing). The
 //!    armed/disarmed ratio bounds the cost of the kill-switch check from
-//!    above; the disarmed median is directly comparable with the
-//!    `slice_dice_parallel_pooled` row of `BENCH_pooled_vs_scoped.json`
-//!    (the ≤2 % acceptance gate — both files are regenerated on the same
-//!    machine).
+//!    above; it is the ≤ 2 % acceptance gate, measured within one run so
+//!    both medians share a machine and a load.
 //! 2. **Call level**: the raw per-call cost of a disarmed
 //!    `should_fire`, amortized over ten million calls.
 //!

@@ -414,7 +414,7 @@ fn main() {
     // ---- Phase 5: cancel-checkpoint overhead --------------------------
     // The gridding hot loop polls `cancel::cancelled()` once per chunk.
     // Bare run: no scope, so the poll is one relaxed atomic load.
-    // Scoped run: a live (never-fired) CancelScope arms the slow path.
+    // Cancel-scope run: a live (never-fired) CancelScope arms the slow path.
     let ck_n = 96usize;
     let ck = SoakProblem::radial(ck_n as u32, 64, 901);
     let ck_plan = NufftPlan::<f64, 2>::new(NufftConfig::with_n(ck_n)).expect("checkpoint plan");

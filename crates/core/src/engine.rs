@@ -29,9 +29,6 @@
 //!   reusable buffers. A worker's accumulator column slab is allocated on
 //!   first use and then cycles: worker fills it, the caller merges it into
 //!   the output grid and *returns it to the same worker's arena*.
-//! * [`ExecBackend`] — selects pooled vs legacy scoped-spawn execution in
-//!   every parallel gridder, so the two strategies stay directly
-//!   comparable (see the `pooled_vs_scoped` bench).
 //!
 //! Everything here is safe Rust: jobs are `'static` closures capturing
 //! `Arc`-shared immutable inputs, results travel back over channels, and
@@ -49,18 +46,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// Execution strategy for the parallel gridding engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecBackend {
-    /// Dispatch into the persistent [`WorkerPool`] (default): workers and
-    /// their scratch arenas live across calls.
-    #[default]
-    Pooled,
-    /// Legacy behavior: spawn scoped threads and allocate scratch on every
-    /// call. Kept for A/B benchmarking and as a fallback.
-    Scoped,
-}
 
 // ---------------------------------------------------------------------------
 // Serial-fallback policy (graceful degradation kill switch)

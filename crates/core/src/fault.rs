@@ -17,7 +17,7 @@
 //! ```
 //!
 //! Every site is a single relaxed atomic load + branch when disarmed
-//! (≤ 2 % on the `pooled_vs_scoped` bench; see `BENCH_fault_overhead.json`).
+//! (≤ 2 % armed-vs-disarmed; see `BENCH_fault_overhead.json`).
 
 pub use jigsaw_testkit::fault::{
     arm, disarm, fires, should_fire, test_guard, FaultInjected, FaultPlan,

@@ -27,7 +27,7 @@
 use super::{validate_batch, worker_threads, Gridder};
 use crate::config::GridParams;
 use crate::decomp::{Decomposer, DimDecomp};
-use crate::engine::{keys, ExecBackend, WorkerPool};
+use crate::engine::{keys, WorkerPool};
 use crate::lut::KernelLut;
 use crate::stats::GridStats;
 use jigsaw_num::{Complex, Float};
@@ -70,12 +70,9 @@ pub struct SliceDiceGridder {
     ///
     /// This controls the *partition* of work (and therefore, for the
     /// non-deterministic block modes, the reduction shape) — not how many
-    /// OS threads exist. Under [`ExecBackend::Pooled`] the partition's
-    /// jobs are multiplexed onto the persistent global pool.
+    /// OS threads exist: the partition's jobs are multiplexed onto the
+    /// persistent global [`WorkerPool`].
     pub threads: Option<usize>,
-    /// Execution backend: persistent worker pool (default) or legacy
-    /// per-call scoped threads.
-    pub backend: ExecBackend,
 }
 
 impl SliceDiceGridder {
@@ -84,14 +81,7 @@ impl SliceDiceGridder {
         Self {
             mode,
             threads: None,
-            backend: ExecBackend::default(),
         }
-    }
-
-    /// Builder-style backend override.
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
     }
 }
 
@@ -151,17 +141,16 @@ impl<T: AtomicFloat, const D: usize> Gridder<T, D> for SliceDiceGridder {
             m: coords.len(),
             tile: p.tile,
         });
-        let b = self.backend;
         let stats = match self.mode {
-            SliceDiceMode::Serial => grid_columns(p, lut, coords, values, out, 1, b),
+            SliceDiceMode::Serial => grid_columns(p, lut, coords, values, out, 1),
             SliceDiceMode::ColumnParallel => {
-                grid_columns(p, lut, coords, values, out, worker_threads(self.threads), b)
+                grid_columns(p, lut, coords, values, out, worker_threads(self.threads))
             }
             SliceDiceMode::BlockAtomic => {
-                grid_block_atomic(p, lut, coords, values, out, worker_threads(self.threads), b)
+                grid_block_atomic(p, lut, coords, values, out, worker_threads(self.threads))
             }
             SliceDiceMode::BlockReduce => {
-                grid_block_reduce(p, lut, coords, values, out, worker_threads(self.threads), b)
+                grid_block_reduce(p, lut, coords, values, out, worker_threads(self.threads))
             }
         };
         stats.mirror("slice_dice");
@@ -171,9 +160,10 @@ impl<T: AtomicFloat, const D: usize> Gridder<T, D> for SliceDiceGridder {
 
 /// One column-owner's job: scan the *full* sample stream and accumulate
 /// into a private slab of `chunk.len() / col_len` dice columns starting
-/// at global column `first_col`. Shared verbatim by the scoped and pooled
-/// backends so their per-column arithmetic is identical instruction for
-/// instruction — the bitwise-equality guarantee rests on this.
+/// at global column `first_col`. Shared verbatim by the pooled jobs and
+/// the serial fallback so their per-column arithmetic is identical
+/// instruction for instruction — the bitwise-equality guarantee rests on
+/// this.
 #[allow(clippy::too_many_arguments)]
 fn columns_worker<T: Float, const D: usize>(
     dec: &Decomposer,
@@ -274,8 +264,8 @@ fn merge_column_chunk<T: Float, const D: usize>(
 /// Column-owned execution: split the `T^d` dice columns across workers;
 /// every worker scans the full sample stream and accumulates into its
 /// private columns. Deterministic (per-point order = stream order) for
-/// *both* backends and any thread count: the partition only decides which
-/// worker owns a column, never the order of accumulations within it.
+/// any thread count: the partition only decides which worker owns a
+/// column, never the order of accumulations within it.
 fn grid_columns<T: Float, const D: usize>(
     p: &GridParams,
     lut: &KernelLut,
@@ -283,7 +273,6 @@ fn grid_columns<T: Float, const D: usize>(
     values: &[Complex<T>],
     out: &mut [Complex<T>],
     nthreads: usize,
-    backend: ExecBackend,
 ) -> GridStats {
     let dec = Decomposer::new(p);
     let g = p.grid;
@@ -298,101 +287,58 @@ fn grid_columns<T: Float, const D: usize>(
     let start = Instant::now();
     let mut total_checks = 0u64;
     let mut total_accums = 0u64;
-    match backend {
-        ExecBackend::Scoped => {
-            // Legacy path: per-call allocation + scoped spawn/join.
-            let mut dice = vec![Complex::<T>::zeroed(); ncols * col_len];
-            let mut checks = vec![0u64; njobs];
-            let mut accums = vec![0u64; njobs];
-            {
-                let dec = &dec;
-                std::thread::scope(|s| {
-                    for ((tid, chunk), (chk, acc)) in dice
-                        .chunks_mut(cols_per_thread * col_len)
-                        .enumerate()
-                        .zip(checks.iter_mut().zip(accums.iter_mut()))
-                    {
-                        let first_col = tid * cols_per_thread;
-                        s.spawn(move || {
-                            let (c, a) = columns_worker(
-                                dec, lut, coords, values, t, tiles, col_len, first_col, chunk,
-                            );
-                            *chk = c;
-                            *acc = a;
-                        });
-                    }
-                });
-            }
-            for (tid, chunk) in dice.chunks(cols_per_thread * col_len).enumerate() {
-                merge_column_chunk::<T, D>(g, t, tiles, col_len, tid * cols_per_thread, chunk, out);
-            }
-            total_checks = checks.iter().sum();
-            total_accums = accums.iter().sum();
-        }
-        ExecBackend::Pooled => {
-            // Persistent path: jobs run on the global pool, column slabs
-            // come from (and return to) the owning worker's scratch arena.
-            let pool = WorkerPool::global();
-            let coords_shared: Arc<[[f64; D]]> = coords.into();
-            let values_shared: Arc<[Complex<T>]> = values.into();
-            let lut_shared = lut.clone();
-            let (tx, rx) = channel();
-            let run = pool.try_run(njobs, move |tid, arena| {
-                faultpoint!(crate::fault::GRIDDING_CHUNK);
-                let first_col = tid * cols_per_thread;
-                let my_cols = cols_per_thread.min(ncols - first_col);
-                let mut chunk = arena.take_vec(
-                    keys::DICE_COLUMNS,
-                    my_cols * col_len,
-                    Complex::<T>::zeroed(),
-                );
-                let (chk, acc) = columns_worker(
-                    &dec,
-                    &lut_shared,
-                    &coords_shared,
-                    &values_shared,
-                    t,
-                    tiles,
-                    col_len,
-                    first_col,
-                    &mut chunk,
-                );
-                let _ = tx.send((tid, chunk, chk, acc));
-            });
-            if run.is_err() {
-                // Contained job panic. The trait surface is infallible and
-                // column chunks merge only in the drain below (never
-                // reached), so `out` is pristine: redo all columns in one
-                // serial pass — bitwise identical, the partition only
-                // decides ownership.
-                crate::engine::note_serial_fallback("gridding.slice_dice.columns");
-                drop(rx);
-                let dec = Decomposer::new(p);
-                let mut dice = vec![Complex::<T>::zeroed(); ncols * col_len];
-                let (chk, acc) =
-                    columns_worker(&dec, lut, coords, values, t, tiles, col_len, 0, &mut dice);
-                merge_column_chunk::<T, D>(g, t, tiles, col_len, 0, &dice, out);
-                total_checks = chk;
-                total_accums = acc;
-            } else {
-                for _ in 0..njobs {
-                    let Ok((tid, chunk, chk, acc)) = rx.recv() else {
-                        unreachable!("pooled column job result missing after clean run");
-                    };
-                    merge_column_chunk::<T, D>(
-                        g,
-                        t,
-                        tiles,
-                        col_len,
-                        tid * cols_per_thread,
-                        &chunk,
-                        out,
-                    );
-                    pool.restore(tid, keys::DICE_COLUMNS, chunk);
-                    total_checks += chk;
-                    total_accums += acc;
-                }
-            }
+    // Jobs run on the global pool; column slabs come from (and return
+    // to) the owning worker's scratch arena.
+    let pool = WorkerPool::global();
+    let coords_shared: Arc<[[f64; D]]> = coords.into();
+    let values_shared: Arc<[Complex<T>]> = values.into();
+    let lut_shared = lut.clone();
+    let (tx, rx) = channel();
+    let run = pool.try_run(njobs, move |tid, arena| {
+        faultpoint!(crate::fault::GRIDDING_CHUNK);
+        let first_col = tid * cols_per_thread;
+        let my_cols = cols_per_thread.min(ncols - first_col);
+        let mut chunk = arena.take_vec(
+            keys::DICE_COLUMNS,
+            my_cols * col_len,
+            Complex::<T>::zeroed(),
+        );
+        let (chk, acc) = columns_worker(
+            &dec,
+            &lut_shared,
+            &coords_shared,
+            &values_shared,
+            t,
+            tiles,
+            col_len,
+            first_col,
+            &mut chunk,
+        );
+        let _ = tx.send((tid, chunk, chk, acc));
+    });
+    if run.is_err() {
+        // Contained job panic. The trait surface is infallible and
+        // column chunks merge only in the drain below (never
+        // reached), so `out` is pristine: redo all columns in one
+        // serial pass — bitwise identical, the partition only
+        // decides ownership.
+        crate::engine::note_serial_fallback("gridding.slice_dice.columns");
+        drop(rx);
+        let dec = Decomposer::new(p);
+        let mut dice = vec![Complex::<T>::zeroed(); ncols * col_len];
+        let (chk, acc) = columns_worker(&dec, lut, coords, values, t, tiles, col_len, 0, &mut dice);
+        merge_column_chunk::<T, D>(g, t, tiles, col_len, 0, &dice, out);
+        total_checks = chk;
+        total_accums = acc;
+    } else {
+        for _ in 0..njobs {
+            let Ok((tid, chunk, chk, acc)) = rx.recv() else {
+                unreachable!("pooled column job result missing after clean run");
+            };
+            merge_column_chunk::<T, D>(g, t, tiles, col_len, tid * cols_per_thread, &chunk, out);
+            pool.restore(tid, keys::DICE_COLUMNS, chunk);
+            total_checks += chk;
+            total_accums += acc;
         }
     }
     GridStats {
@@ -427,7 +373,7 @@ pub struct AtomicGrid64 {
 /// Floats that support lock-free atomic accumulation via bit-pattern CAS.
 pub trait AtomicFloat: Float {
     /// The shared-grid representation for this precision (`Send + Sync`
-    /// so the pooled backend can share it via `Arc` across `'static`
+    /// so the pooled jobs can share it via `Arc` across `'static`
     /// jobs).
     type Grid: Send + Sync + 'static;
     /// Allocate a zeroed atomic grid of `n` complex points.
@@ -565,7 +511,7 @@ fn for_each_window_point<const D: usize>(
 }
 
 /// One input-block's job for the atomic mode: grid samples `lo..hi` into
-/// the shared atomic grid. Shared by both backends.
+/// the shared atomic grid. Shared by the pooled jobs and the serial fallback.
 #[allow(clippy::too_many_arguments)]
 fn block_atomic_worker<T: AtomicFloat, const D: usize>(
     dec: &Decomposer,
@@ -599,7 +545,6 @@ fn grid_block_atomic<T: AtomicFloat, const D: usize>(
     values: &[Complex<T>],
     out: &mut [Complex<T>],
     nthreads: usize,
-    backend: ExecBackend,
 ) -> GridStats {
     let dec = Decomposer::new(p);
     let npoints = p.grid.pow(D as u32);
@@ -611,71 +556,44 @@ fn grid_block_atomic<T: AtomicFloat, const D: usize>(
     let chunk = m.div_ceil(nthreads);
     let total_accums: u64;
     let mut shared = Arc::new(T::alloc_grid(npoints));
-    match backend {
-        ExecBackend::Scoped => {
-            let mut accums = vec![0u64; nthreads];
-            {
-                let dec = &dec;
-                let shared = &*shared;
-                std::thread::scope(|s| {
-                    for (tid, acc) in accums.iter_mut().enumerate() {
-                        let lo = tid * chunk;
-                        let hi = ((tid + 1) * chunk).min(m);
-                        if lo >= hi {
-                            continue;
-                        }
-                        s.spawn(move || {
-                            *acc = block_atomic_worker::<T, D>(
-                                dec, lut, coords, values, g, t, lo, hi, shared,
-                            );
-                        });
-                    }
-                });
-            }
-            total_accums = accums.iter().sum();
-        }
-        ExecBackend::Pooled => {
-            let pool = WorkerPool::global();
-            let coords_shared: Arc<[[f64; D]]> = coords.into();
-            let values_shared: Arc<[Complex<T>]> = values.into();
-            let lut_shared = lut.clone();
-            let shared_jobs = Arc::clone(&shared);
-            let (tx, rx) = channel();
-            let run = pool.try_run(nthreads, move |tid, _arena| {
-                faultpoint!(crate::fault::GRIDDING_CHUNK);
-                let lo = tid * chunk;
-                let hi = ((tid + 1) * chunk).min(m);
-                let n = if lo < hi {
-                    block_atomic_worker::<T, D>(
-                        &dec,
-                        &lut_shared,
-                        &coords_shared,
-                        &values_shared,
-                        g,
-                        t,
-                        lo,
-                        hi,
-                        &shared_jobs,
-                    )
-                } else {
-                    0
-                };
-                let _ = tx.send(n);
-            });
-            if run.is_err() {
-                // Contained job panic. Surviving jobs accumulated into the
-                // shared atomic grid, so discard it wholesale and redo all
-                // blocks in one serial pass over a fresh grid.
-                crate::engine::note_serial_fallback("gridding.slice_dice.atomic");
-                drop(rx);
-                shared = Arc::new(T::alloc_grid(npoints));
-                let dec = Decomposer::new(p);
-                total_accums =
-                    block_atomic_worker::<T, D>(&dec, lut, coords, values, g, t, 0, m, &shared);
-            } else {
-                total_accums = (0..nthreads).map(|_| rx.recv().unwrap_or(0)).sum();
-            }
-        }
+    let pool = WorkerPool::global();
+    let coords_shared: Arc<[[f64; D]]> = coords.into();
+    let values_shared: Arc<[Complex<T>]> = values.into();
+    let lut_shared = lut.clone();
+    let shared_jobs = Arc::clone(&shared);
+    let (tx, rx) = channel();
+    let run = pool.try_run(nthreads, move |tid, _arena| {
+        faultpoint!(crate::fault::GRIDDING_CHUNK);
+        let lo = tid * chunk;
+        let hi = ((tid + 1) * chunk).min(m);
+        let n = if lo < hi {
+            block_atomic_worker::<T, D>(
+                &dec,
+                &lut_shared,
+                &coords_shared,
+                &values_shared,
+                g,
+                t,
+                lo,
+                hi,
+                &shared_jobs,
+            )
+        } else {
+            0
+        };
+        let _ = tx.send(n);
+    });
+    if run.is_err() {
+        // Contained job panic. Surviving jobs accumulated into the
+        // shared atomic grid, so discard it wholesale and redo all
+        // blocks in one serial pass over a fresh grid.
+        crate::engine::note_serial_fallback("gridding.slice_dice.atomic");
+        drop(rx);
+        shared = Arc::new(T::alloc_grid(npoints));
+        let dec = Decomposer::new(p);
+        total_accums = block_atomic_worker::<T, D>(&dec, lut, coords, values, g, t, 0, m, &shared);
+    } else {
+        total_accums = (0..nthreads).map(|_| rx.recv().unwrap_or(0)).sum();
     }
     T::drain(&shared, out);
     GridStats {
@@ -691,7 +609,7 @@ fn grid_block_atomic<T: AtomicFloat, const D: usize>(
 }
 
 /// One input-block's job for the reduce mode: grid samples `lo..hi` into
-/// a private partial grid. Shared by both backends.
+/// a private partial grid. Shared by the pooled jobs and the serial fallback.
 #[allow(clippy::too_many_arguments)]
 fn block_reduce_worker<T: Float, const D: usize>(
     dec: &Decomposer,
@@ -719,7 +637,7 @@ fn block_reduce_worker<T: Float, const D: usize>(
 
 /// Block-parallel execution with private grids + deterministic merge.
 ///
-/// The merge runs in block order (`tid` ascending) under both backends,
+/// The merge runs in block order (`tid` ascending) whatever order the jobs finish in,
 /// so for a fixed `threads` request the result is reproducible — though
 /// unlike the column modes it is *not* bitwise equal to serial, because
 /// splitting the sample stream reassociates the floating-point sums.
@@ -730,7 +648,6 @@ fn grid_block_reduce<T: Float, const D: usize>(
     values: &[Complex<T>],
     out: &mut [Complex<T>],
     nthreads: usize,
-    backend: ExecBackend,
 ) -> GridStats {
     let dec = Decomposer::new(p);
     let npoints = p.grid.pow(D as u32);
@@ -741,97 +658,56 @@ fn grid_block_reduce<T: Float, const D: usize>(
     let chunk = m.div_ceil(nthreads);
     let start = Instant::now();
     let total_accums: u64;
-    match backend {
-        ExecBackend::Scoped => {
-            let mut partials: Vec<Vec<Complex<T>>> = Vec::with_capacity(nthreads);
-            partials.resize_with(nthreads, || vec![Complex::zeroed(); npoints]);
-            let mut accums = vec![0u64; nthreads];
-            {
-                let dec = &dec;
-                std::thread::scope(|s| {
-                    for (tid, (partial, acc)) in
-                        partials.iter_mut().zip(accums.iter_mut()).enumerate()
-                    {
-                        let lo = tid * chunk;
-                        let hi = ((tid + 1) * chunk).min(m);
-                        s.spawn(move || {
-                            *acc = block_reduce_worker::<T, D>(
-                                dec, lut, coords, values, g, t, lo, hi, partial,
-                            );
-                        });
-                    }
-                });
-            }
-            for partial in &partials {
-                for (o, &v) in out.iter_mut().zip(partial) {
-                    *o += v;
-                }
-            }
-            total_accums = accums.iter().sum();
+    let pool = WorkerPool::global();
+    let coords_shared: Arc<[[f64; D]]> = coords.into();
+    let values_shared: Arc<[Complex<T>]> = values.into();
+    let lut_shared = lut.clone();
+    let (tx, rx) = channel();
+    let run = pool.try_run(nthreads, move |tid, arena| {
+        faultpoint!(crate::fault::GRIDDING_CHUNK);
+        let lo = tid * chunk;
+        let hi = ((tid + 1) * chunk).min(m);
+        let mut partial = arena.take_vec(keys::PARTIAL_GRID, npoints, Complex::<T>::zeroed());
+        let n = block_reduce_worker::<T, D>(
+            &dec,
+            &lut_shared,
+            &coords_shared,
+            &values_shared,
+            g,
+            t,
+            lo,
+            hi,
+            &mut partial,
+        );
+        let _ = tx.send((tid, partial, n));
+    });
+    if run.is_err() {
+        // Contained job panic. Partials merge into `out` only in
+        // the drain below (never reached), so redo the whole
+        // sample range in one serial block.
+        crate::engine::note_serial_fallback("gridding.slice_dice.blocks");
+        drop(rx);
+        let dec = Decomposer::new(p);
+        let mut partial = vec![Complex::<T>::zeroed(); npoints];
+        total_accums =
+            block_reduce_worker::<T, D>(&dec, lut, coords, values, g, t, 0, m, &mut partial);
+        for (o, &v) in out.iter_mut().zip(&partial) {
+            *o += v;
         }
-        ExecBackend::Pooled => {
-            let pool = WorkerPool::global();
-            let coords_shared: Arc<[[f64; D]]> = coords.into();
-            let values_shared: Arc<[Complex<T>]> = values.into();
-            let lut_shared = lut.clone();
-            let (tx, rx) = channel();
-            let run = pool.try_run(nthreads, move |tid, arena| {
-                faultpoint!(crate::fault::GRIDDING_CHUNK);
-                let lo = tid * chunk;
-                let hi = ((tid + 1) * chunk).min(m);
-                let mut partial =
-                    arena.take_vec(keys::PARTIAL_GRID, npoints, Complex::<T>::zeroed());
-                let n = block_reduce_worker::<T, D>(
-                    &dec,
-                    &lut_shared,
-                    &coords_shared,
-                    &values_shared,
-                    g,
-                    t,
-                    lo,
-                    hi,
-                    &mut partial,
-                );
-                let _ = tx.send((tid, partial, n));
-            });
-            if run.is_err() {
-                // Contained job panic. Partials merge into `out` only in
-                // the drain below (never reached), so redo the whole
-                // sample range in one serial block.
-                crate::engine::note_serial_fallback("gridding.slice_dice.blocks");
-                drop(rx);
-                let dec = Decomposer::new(p);
-                let mut partial = vec![Complex::<T>::zeroed(); npoints];
-                total_accums = block_reduce_worker::<T, D>(
-                    &dec,
-                    lut,
-                    coords,
-                    values,
-                    g,
-                    t,
-                    0,
-                    m,
-                    &mut partial,
-                );
-                for (o, &v) in out.iter_mut().zip(&partial) {
-                    *o += v;
-                }
-            } else {
-                // Deterministic merge: collect all partials, then fold them
-                // in block (tid) order exactly as the scoped path does.
-                let mut results: Vec<(usize, Vec<Complex<T>>, u64)> = rx.iter().collect();
-                results.sort_unstable_by_key(|(tid, _, _)| *tid);
-                let mut n = 0u64;
-                for (tid, partial, acc) in results {
-                    for (o, &v) in out.iter_mut().zip(&partial) {
-                        *o += v;
-                    }
-                    pool.restore(tid, keys::PARTIAL_GRID, partial);
-                    n += acc;
-                }
-                total_accums = n;
+    } else {
+        // Deterministic merge: collect all partials, then fold them
+        // in block (tid) order.
+        let mut results: Vec<(usize, Vec<Complex<T>>, u64)> = rx.iter().collect();
+        results.sort_unstable_by_key(|(tid, _, _)| *tid);
+        let mut n = 0u64;
+        for (tid, partial, acc) in results {
+            for (o, &v) in out.iter_mut().zip(&partial) {
+                *o += v;
             }
+            pool.restore(tid, keys::PARTIAL_GRID, partial);
+            n += acc;
         }
+        total_accums = n;
     }
     GridStats {
         samples: m,
@@ -883,7 +759,6 @@ mod tests {
             SliceDiceGridder {
                 mode: SliceDiceMode::ColumnParallel,
                 threads: Some(threads),
-                ..Default::default()
             }
             .grid(&p, &lut, &coords, &values, &mut b);
             grids_match_bitwise(&reference, &b, &format!("threads={threads}"));
@@ -901,7 +776,6 @@ mod tests {
         SliceDiceGridder {
             mode: SliceDiceMode::BlockReduce,
             threads: Some(4),
-            ..Default::default()
         }
         .grid(&p, &lut, &coords, &values, &mut b);
         let scale: f64 = a.iter().map(|z| z.abs()).fold(0.0, f64::max);
@@ -921,7 +795,6 @@ mod tests {
         SliceDiceGridder {
             mode: SliceDiceMode::BlockAtomic,
             threads: Some(4),
-            ..Default::default()
         }
         .grid(&p, &lut, &coords, &values, &mut b);
         let scale: f64 = a.iter().map(|z| z.abs()).fold(0.0, f64::max);
@@ -945,7 +818,6 @@ mod tests {
         SliceDiceGridder {
             mode: SliceDiceMode::BlockAtomic,
             threads: Some(3),
-            ..Default::default()
         }
         .grid(&p, &lut, &coords, &values32, &mut b);
         let scale: f64 = a.iter().map(|z| z.abs()).fold(0.0, f64::max);
@@ -981,7 +853,6 @@ mod tests {
         SliceDiceGridder {
             mode: SliceDiceMode::ColumnParallel,
             threads: Some(3),
-            ..Default::default()
         }
         .grid(&p, &lut, &coords, &values, &mut b);
         grids_match_bitwise(&a, &b, "3d");

@@ -1,16 +1,15 @@
 //! Cross-crate property tests: every gridding engine — serial, naive
 //! output-parallel, binned, Slice-and-Dice in all modes, and the JIGSAW
-//! fixed-point simulator — must compute the *same gridding operator*,
-//! whether it runs on legacy scoped threads or the persistent worker
-//! pool, and for any worker count.
+//! fixed-point simulator — must compute the *same gridding operator*
+//! for any worker count of the persistent worker pool.
 //!
 //! The deterministic f64 engines must agree **bitwise** (they share the
-//! decomposition, the LUT, and the per-point accumulation order); the
+//! decomposition, the LUT, and the per-point accumulation order), and
+//! their logical-work counters must not depend on the worker count; the
 //! atomic and fixed-point paths agree within their documented error
 //! bounds.
 
 use jigsaw::core::config::GridParams;
-use jigsaw::core::engine::ExecBackend;
 use jigsaw::core::gridding::{
     BinnedGridder, Gridder, NaiveOutputGridder, SerialGridder, SliceDiceGridder, SliceDiceMode,
 };
@@ -66,8 +65,10 @@ fn bits(grid: &[C64]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Every deterministic engine, on either backend, with 1/2/8 workers,
-/// reproduces the serial reference bit-for-bit.
+/// Every deterministic engine, with 1/2/8 workers, reproduces the serial
+/// reference bit-for-bit, and its logical-work counters (boundary checks,
+/// kernel accumulations, processed samples) equal its 1-worker run: the
+/// partition decides only which worker does the work, never how much.
 #[test]
 fn deterministic_engines_agree_bitwise() {
     cases!(24, |rng| {
@@ -80,41 +81,50 @@ fn deterministic_engines_agree_bitwise() {
         let mut reference = vec![C64::zeroed(); npts];
         SerialGridder.grid(&p, &lut, &coords, &values, &mut reference);
         let reference_bits = bits(&reference);
-        for backend in [ExecBackend::Pooled, ExecBackend::Scoped] {
-            for threads in [1usize, 2, 8] {
-                let engines: Vec<Box<dyn Gridder<f64, 2>>> = vec![
-                    Box::new(NaiveOutputGridder {
-                        threads: Some(threads),
-                        backend,
-                    }),
-                    Box::new(BinnedGridder {
-                        bin_tile: 8,
-                        threads: Some(threads),
-                        backend,
-                    }),
-                    Box::new(BinnedGridder {
-                        bin_tile: 16,
-                        threads: Some(threads),
-                        backend,
-                    }),
-                    Box::new(SliceDiceGridder {
-                        mode: SliceDiceMode::Serial,
-                        threads: None,
-                        backend,
-                    }),
-                    Box::new(SliceDiceGridder {
-                        mode: SliceDiceMode::ColumnParallel,
-                        threads: Some(threads),
-                        backend,
-                    }),
-                ];
-                for e in &engines {
-                    let mut out = vec![C64::zeroed(); npts];
-                    e.grid(&p, &lut, &coords, &values, &mut out);
+        let mut one_worker = Vec::new();
+        for threads in [1usize, 2, 8] {
+            let engines: Vec<Box<dyn Gridder<f64, 2>>> = vec![
+                Box::new(NaiveOutputGridder {
+                    threads: Some(threads),
+                }),
+                Box::new(BinnedGridder {
+                    bin_tile: 8,
+                    threads: Some(threads),
+                }),
+                Box::new(BinnedGridder {
+                    bin_tile: 16,
+                    threads: Some(threads),
+                }),
+                Box::new(SliceDiceGridder {
+                    mode: SliceDiceMode::Serial,
+                    threads: None,
+                }),
+                Box::new(SliceDiceGridder {
+                    mode: SliceDiceMode::ColumnParallel,
+                    threads: Some(threads),
+                }),
+            ];
+            for (k, e) in engines.iter().enumerate() {
+                let mut out = vec![C64::zeroed(); npts];
+                let stats = e.grid(&p, &lut, &coords, &values, &mut out);
+                assert_eq!(
+                    bits(&out),
+                    reference_bits,
+                    "engine {} differs ({threads} threads)",
+                    e.name()
+                );
+                let counters = (
+                    stats.boundary_checks,
+                    stats.kernel_accumulations,
+                    stats.samples_processed,
+                );
+                if threads == 1 {
+                    one_worker.push(counters);
+                } else {
                     assert_eq!(
-                        bits(&out),
-                        reference_bits,
-                        "engine {} differs ({backend:?}, {threads} threads)",
+                        counters,
+                        one_worker[k],
+                        "engine {} counters differ ({threads} threads vs 1)",
                         e.name()
                     );
                 }
@@ -123,56 +133,8 @@ fn deterministic_engines_agree_bitwise() {
     });
 }
 
-/// The pooled backend is not merely close to the scoped one — it is the
-/// *same function*: bitwise-equal output and identical logical-work
-/// counters for every deterministic engine and worker count.
-#[test]
-fn pooled_backend_is_bitwise_invariant_of_scoped() {
-    cases!(16, |rng| {
-        let (coords, values) = arb_samples(rng, 64, 200);
-        let p = params(64, 6, 32);
-        let lut = KernelLut::from_params(&p);
-        let npts = 64 * 64;
-        let threads = *rng.choose(&[1usize, 2, 8]);
-        type Mk = Box<dyn Fn(ExecBackend) -> Box<dyn Gridder<f64, 2>>>;
-        let mks: Vec<Mk> = vec![
-            Box::new(move |backend| {
-                Box::new(SliceDiceGridder {
-                    mode: SliceDiceMode::ColumnParallel,
-                    threads: Some(threads),
-                    backend,
-                })
-            }),
-            Box::new(move |backend| {
-                Box::new(BinnedGridder {
-                    bin_tile: 8,
-                    threads: Some(threads),
-                    backend,
-                })
-            }),
-            Box::new(move |backend| {
-                Box::new(NaiveOutputGridder {
-                    threads: Some(threads),
-                    backend,
-                })
-            }),
-        ];
-        for mk in &mks {
-            let mut scoped = vec![C64::zeroed(); npts];
-            let mut pooled = vec![C64::zeroed(); npts];
-            let s = mk(ExecBackend::Scoped).grid(&p, &lut, &coords, &values, &mut scoped);
-            let q = mk(ExecBackend::Pooled).grid(&p, &lut, &coords, &values, &mut pooled);
-            assert_eq!(bits(&scoped), bits(&pooled));
-            assert_eq!(s.boundary_checks, q.boundary_checks);
-            assert_eq!(s.kernel_accumulations, q.kernel_accumulations);
-            assert_eq!(s.samples_processed, q.samples_processed);
-        }
-    });
-}
-
 /// Atomic/reduce block modes are allowed to reorder float adds; they must
-/// still agree with the serial reference to ~f64 rounding, on both
-/// backends.
+/// still agree with the serial reference to ~f64 rounding.
 #[test]
 fn nondeterministic_engines_agree_within_fp() {
     cases!(16, |rng| {
@@ -183,18 +145,15 @@ fn nondeterministic_engines_agree_within_fp() {
         let npts = 32 * 32;
         let mut reference = vec![C64::zeroed(); npts];
         SerialGridder.grid(&p, &lut, &coords, &values, &mut reference);
-        for backend in [ExecBackend::Pooled, ExecBackend::Scoped] {
-            for mode in [SliceDiceMode::BlockAtomic, SliceDiceMode::BlockReduce] {
-                let mut out = vec![C64::zeroed(); npts];
-                SliceDiceGridder {
-                    mode,
-                    threads: Some(threads),
-                    backend,
-                }
-                .grid(&p, &lut, &coords, &values, &mut out);
-                let err = rel_l2(&out, &reference);
-                assert!(err < 1e-12, "mode {mode:?} ({backend:?}): err {err}");
+        for mode in [SliceDiceMode::BlockAtomic, SliceDiceMode::BlockReduce] {
+            let mut out = vec![C64::zeroed(); npts];
+            SliceDiceGridder {
+                mode,
+                threads: Some(threads),
             }
+            .grid(&p, &lut, &coords, &values, &mut out);
+            let err = rel_l2(&out, &reference);
+            assert!(err < 1e-12, "mode {mode:?}: err {err}");
         }
     });
 }
